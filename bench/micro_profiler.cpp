@@ -412,12 +412,13 @@ BENCHMARK(BM_CompressedRecord)
 /// The async paired rungs: `jdrag record --async` hands chunks to the
 /// AsyncEventSink writer thread, so the file sink's compression (like
 /// its fwrite) runs off the VM's critical path -- the deployment the
-/// compressor is designed for. CPU time here is the VM thread only
-/// (google-benchmark measures the bench thread), so the delta between
-/// the two rungs is what compression costs the *mutator* when the
-/// writer thread absorbs the codec work; the wall-clock delta still
-/// includes the drain wait at finish() on a saturated machine. Arg1 = 0
-/// keeps both rungs in exact mode.
+/// compressor is designed for. Both rungs run on real time: their CPU
+/// time would be the VM thread's only (google-benchmark measures the
+/// bench thread), which leaves the writer thread's codec work out of
+/// items/s. The reported CPU time still shows what compression costs
+/// the *mutator*; the wall-clock delta includes the drain wait at
+/// finish() on a saturated machine. Arg1 = 0 keeps both rungs in exact
+/// mode.
 void BM_AsyncRecord(benchmark::State &State, bool Compress) {
   Program P = buildHotLoop();
   std::int64_t Iters = State.range(0);
@@ -467,8 +468,8 @@ void BM_SampledRecordAsync(benchmark::State &State) {
 void BM_CompressedRecordAsync(benchmark::State &State) {
   BM_AsyncRecord(State, true);
 }
-BENCHMARK(BM_SampledRecordAsync)->Args({10000, 0});
-BENCHMARK(BM_CompressedRecordAsync)->Args({10000, 0});
+BENCHMARK(BM_SampledRecordAsync)->Args({10000, 0})->UseRealTime();
+BENCHMARK(BM_CompressedRecordAsync)->Args({10000, 0})->UseRealTime();
 
 /// The trailer-store ladder rung: the same profiled run with the
 /// hash-map trailer store instead of the paged dense array. The delta
@@ -714,11 +715,12 @@ void BM_ReplayDecodeNoBatch(benchmark::State &State) {
 }
 BENCHMARK(BM_ReplayDecodeNoBatch)->Arg(3);
 
-/// Raw codec throughput: lzCompress + lzDecompress over the hot loop's
-/// real event stream, one 64 KiB block at a time (the production chunk
-/// size). Bytes processed are *uncompressed* bytes, so the rate reads
-/// as end-to-end round-trip MB/s; the ratio counter is the compression
-/// the event encoding admits.
+/// Raw codec throughput: LzEncoder::compress + lzDecompress over the
+/// hot loop's real event stream, one 64 KiB block at a time (the
+/// production chunk size), one encoder per pass as one per stream.
+/// Bytes processed are *uncompressed* bytes, so the rate reads as
+/// end-to-end round-trip MB/s; the ratio counter is the compression the
+/// event encoding admits.
 void BM_LzRoundTrip(benchmark::State &State) {
   Program P = buildHotLoop();
   profiler::MemorySink Mem;
@@ -736,10 +738,10 @@ void BM_LzRoundTrip(benchmark::State &State) {
   for (auto _ : State) {
     Raw = Packed = 0;
     std::vector<std::uint8_t> Out;
+    support::LzEncoder Enc;
     for (std::size_t Off = 0; Off < Bytes.size(); Off += Block) {
       std::size_t N = std::min(Block, Bytes.size() - Off);
-      std::vector<std::uint8_t> C =
-          support::lzCompress(Bytes.data() + Off, N);
+      std::vector<std::uint8_t> C = Enc.compress(Bytes.data() + Off, N);
       Raw += N;
       Packed += C.empty() ? N : C.size();
       if (!C.empty() &&
@@ -822,7 +824,8 @@ BENCHMARK(BM_ReplayDecodeCompressed);
 /// multi-chunk v4 recording; Arg is the worker count, items are object
 /// records in the resulting profile. Jobs=1 is the sequential path, so
 /// the ratio between rungs is the map-reduce speedup (ceilinged by the
-/// machine's core count).
+/// machine's core count). Real time: the decode workers' CPU time is
+/// not the main thread's, so CPU-time items/s would overstate jobs > 1.
 void BM_ReplayParallel(benchmark::State &State) {
   Program P = buildHotLoop();
   char Path[64];
@@ -854,7 +857,7 @@ void BM_ReplayParallel(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * RecordsPerPass);
   std::remove(Path);
 }
-BENCHMARK(BM_ReplayParallel)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ReplayParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 /// The pre-fold DragReport aggregation loop, reproduced line-for-line
 /// from the old constructor as BM_Report's baseline: one

@@ -6,32 +6,28 @@
 ///
 /// \file
 /// The collector daemon's cross-client view: every finished session's
-/// ProfileLog is folded into one table keyed by (benchmark, rendered
-/// allocation site), accumulating drag, object and byte totals over the
-/// whole fleet. `TOP <n>` on the admin port renders the heaviest rows --
-/// the paper's "sites sorted by drag" list, but across every VM that
-/// ever streamed to this daemon.
+/// drag report -- built from per-site sums the daemon folded while the
+/// session streamed, never from a stored record list -- is added to one
+/// table keyed by (benchmark, rendered allocation site), accumulating
+/// drag, object and byte totals over the whole fleet. `TOP <n>` on the
+/// admin port renders the heaviest rows -- the paper's "sites sorted by
+/// drag" list, but across every VM that ever streamed to this daemon.
 ///
 /// Rendering goes through the same DragReport/SiteTable code the offline
 /// tool uses, so for a single uninterrupted session the daemon's TOP
 /// output is bit-identical to `jdragd top` over the recorded file (the
-/// differential test in tests/test_daemon.cpp holds this line).
+/// differential tests in tests/test_daemon.cpp hold this line).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JDRAG_DAEMON_AGGREGATE_H
 #define JDRAG_DAEMON_AGGREGATE_H
 
-#include "profiler/ProfileLog.h"
 #include "support/Units.h"
 
 #include <cstdint>
 #include <map>
 #include <string>
-
-namespace jdrag::ir {
-class Program;
-} // namespace jdrag::ir
 
 namespace jdrag::analysis {
 class DragReport;
@@ -53,15 +49,10 @@ struct FleetRow {
 
 class FleetAggregate {
 public:
-  /// Folds one session's log: per-site drag sums from a DragReport are
-  /// added to the fleet rows under "<bench>  <site>" keys. Builds the
-  /// report with the shared fold engine (analysis/RecordFold.h) and
-  /// delegates to the DragReport overload.
-  void fold(const std::string &Bench, const ir::Program &P,
-            const profiler::ProfileLog &Log);
-
-  /// Folds an already-built report -- e.g. one the streaming engine
-  /// produced without ever materializing the session's records.
+  /// Folds one session's report: its per-site drag sums are added to
+  /// the fleet rows under "<bench>  <site>" keys. The daemon and
+  /// `jdragd top` both build the report from a live record fold
+  /// (analysis/RecordFold.h), never from materialized records.
   void fold(const std::string &Bench, const analysis::DragReport &Report);
 
   /// The heaviest \p N rows, one line each, sorted by drag descending

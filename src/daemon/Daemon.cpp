@@ -2,6 +2,7 @@
 
 #include "daemon/Daemon.h"
 
+#include "analysis/RecordFold.h"
 #include "profiler/Sampling.h"
 #include "support/Format.h"
 
@@ -54,6 +55,30 @@ std::uint64_t lzDeclaredRawLen(const std::byte *P, std::size_t N) {
   return 0;
 }
 
+/// A session's phase 2, run live: every record the profiler finishes is
+/// folded into the per-site sums the fleet table needs and then
+/// forgotten, so a session holds live trailers and fold state, never
+/// its record history. The object-byte totals CLIENTS shows accumulate
+/// here too, in record order, exactly as a pass over the materialized
+/// records would sum them.
+class SessionFold : public profiler::RecordSink {
+public:
+  explicit SessionFold(std::uint64_t SampleRate)
+      : Rate(SampleRate), Sites(SampleRate) {}
+
+  void onRecord(const profiler::ObjectRecord &R) override {
+    Sites.fold(R);
+    RawObjBytes += R.Bytes;
+    EstObjBytes += static_cast<double>(R.Bytes) *
+                   profiler::sampleWeight(R.Bytes, Rate);
+  }
+
+  std::uint64_t Rate;
+  analysis::SiteGroupFold Sites;
+  std::uint64_t RawObjBytes = 0;
+  double EstObjBytes = 0;
+};
+
 } // namespace
 
 struct CollectorDaemon::Session {
@@ -67,6 +92,7 @@ struct CollectorDaemon::Session {
   std::string FilePath;
   bool RecOpen = false;
   bool RecFailed = false;
+  std::unique_ptr<SessionFold> Fold;
   std::unique_ptr<profiler::DragProfiler> Prof;
   std::unique_ptr<profiler::FrameDecoder> Dec;
   bool DecodeFailed = false;
@@ -74,9 +100,10 @@ struct CollectorDaemon::Session {
   std::uint64_t Footers = 0;
   std::uint64_t Bytes = 0;
   /// Object-byte totals of the session's decoded profile, stamped at
-  /// finalize: raw (as logged) and inverse-probability scaled (equal
-  /// for exact sessions). CLIENTS shows both so mixed exact/sampled
-  /// fleets are not silently summed as if comparable.
+  /// finalize from the live fold: raw (as logged) and
+  /// inverse-probability scaled (equal for exact sessions). CLIENTS
+  /// shows both so mixed exact/sampled fleets are not silently summed
+  /// as if comparable.
   std::uint64_t RawObjBytes = 0;
   std::uint64_t EstObjBytes = 0;
   /// v6 compression accounting over this session's data chunks:
@@ -370,7 +397,9 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
     if (Opt.Resolve)
       S.Prog = Opt.Resolve(S.Info.Name);
     if (S.Prog) {
+      S.Fold = std::make_unique<SessionFold>(S.Info.SampleBytes);
       S.Prof = std::make_unique<profiler::DragProfiler>(*S.Prog);
+      S.Prof->setRecordSink(S.Fold.get());
       S.Dec =
           std::make_unique<profiler::FrameDecoder>(*S.Prof, S.Info.Format);
     }
@@ -492,30 +521,29 @@ void CollectorDaemon::finalizeSession(Session &S, bool Clean) {
     ++Stats.RecordingErrors;
   }
   if (S.Prof && !S.DecodeFailed && S.GotHello) {
-    profiler::ProfileLog Log = S.Prof->takeLog();
+    // The records were folded as they died; what is left of the log is
+    // its record-free shell (sites, GC samples, end time).
+    profiler::ProfileLog Shell = S.Prof->takeLog();
     // The daemon's view of loss is the client's BYE claim; an unclean
     // session (no BYE) is marked incomplete outright.
-    Log.Complete = Clean && S.Bye.ChunksDropped == 0;
-    Log.DroppedChunks = S.Bye.ChunksDropped;
-    Log.DroppedBytes = S.Bye.BytesDropped;
-    // A sampled session's log carries the HELLO params so the fold's
-    // per-site estimates are inverse-probability scaled. Exact sessions
-    // normalize to {0, 0} (canonical exact-log form).
-    Log.SampleRate = S.Info.SampleBytes;
-    Log.SampleSeed = S.Info.SampleBytes ? S.Info.SampleSeed : 0;
-    Log.Compressed = S.Info.Format >= profiler::WireFormat::V6;
-    double Est = 0;
-    for (const profiler::ObjectRecord &R : Log.Records) {
-      S.RawObjBytes += R.Bytes;
-      Est += static_cast<double>(R.Bytes) *
-             profiler::sampleWeight(R.Bytes, Log.SampleRate);
-    }
-    S.EstObjBytes = static_cast<std::uint64_t>(Est);
+    Shell.Complete = Clean && S.Bye.ChunksDropped == 0;
+    Shell.DroppedChunks = S.Bye.ChunksDropped;
+    Shell.DroppedBytes = S.Bye.BytesDropped;
+    // A sampled session's log carries the HELLO params (the fold already
+    // scaled its per-site estimates by them). Exact sessions normalize
+    // to {0, 0} (canonical exact-log form).
+    Shell.SampleRate = S.Info.SampleBytes;
+    Shell.SampleSeed = S.Info.SampleBytes ? S.Info.SampleSeed : 0;
+    Shell.Compressed = S.Info.Format >= profiler::WireFormat::V6;
+    S.RawObjBytes = S.Fold->RawObjBytes;
+    S.EstObjBytes = static_cast<std::uint64_t>(S.Fold->EstObjBytes);
     // One client's log must never take the collector down with it: a
     // fold that fails (however malformed the session was) costs that
     // session's contribution, nothing more.
     try {
-      Fleet.fold(S.Info.Name, *S.Prog, Log);
+      analysis::DragReport Report(*S.Prog, Shell,
+                                  S.Fold->Sites.finish(*S.Prog, Shell.Sites));
+      Fleet.fold(S.Info.Name, Report);
     } catch (const std::exception &E) {
       S.DecodeFailed = true;
       ++Stats.DecodeErrors;

@@ -17,9 +17,11 @@
 ///      (so the raw stream survives even if live decode fails);
 ///   2. feed it incrementally through a FrameDecoder into a
 ///      DragProfiler (when the HELLO benchmark name resolves to a
-///      Program);
-///   3. at session end, fold the profile into the fleet-wide aggregated
-///      drag table served by `TOP <n>`.
+///      Program), whose finished object records are folded into the
+///      session's per-site sums the moment each object dies -- records
+///      are never stored, so a session costs O(live objects + sites);
+///   3. at session end, add the session's per-site sums to the
+///      fleet-wide aggregated drag table served by `TOP <n>`.
 ///
 /// Failure-mode contract (docs/daemon.md has the full table): the
 /// daemon never trusts a client -- protocol violations close that one
@@ -112,8 +114,8 @@ public:
 
   /// The event loop; returns 0 after a graceful shutdown (SHUTDOWN
   /// command or requestShutdown()), 1 on a loop-level failure. All
-  /// active sessions are finalized -- recordings flushed, profiles
-  /// folded -- before returning.
+  /// active sessions are finalized -- recordings flushed, per-site sums
+  /// added to the fleet table -- before returning.
   int run();
 
   /// Async-signal-safe stop request (callable from a signal handler).

@@ -45,6 +45,7 @@
 #include "profiler/ProfileLog.h"
 #include "vm/VirtualMachine.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -139,6 +140,15 @@ public:
   /// part of the streaming engine's resident state (BENCH_9).
   std::size_t peakLiveTrailers() const { return PeakLive; }
 
+  /// Trailer pages resident now, and their high-water mark over the run
+  /// (dense table only; 0 on the hash-map fallback). Every resident page
+  /// but the allocation frontier holds a live trailer, so the peak never
+  /// exceeds peakLiveTrailers() + 1.
+  std::size_t residentTrailerPages() const { return Dense.residentPages(); }
+  std::size_t peakResidentTrailerPages() const {
+    return Dense.peakResidentPages();
+  }
+
   /// Diverts finished records to \p S; the log keeps everything else
   /// (sites, GC samples, end time, health) and Log.Records stays empty.
   /// Pass nullptr to restore the default materializing behaviour.
@@ -165,9 +175,12 @@ private:
   /// a mask with no hashing on the per-Use hot path; the per-slot Live
   /// flag is the free-slot check (a stale or VM-internal id hits a dead
   /// slot, never a neighbour's trailer). A page whose live count drains
-  /// to zero *behind* the allocation frontier is released, so resident
+  /// to zero behind the allocation frontier is released at once, and a
+  /// drained frontier page when the frontier moves past it, so every
+  /// resident page but the frontier holds a live trailer: resident
   /// memory tracks the live-object population, not the total number of
-  /// objects ever allocated.
+  /// objects ever allocated -- nor, for a sampled stream's sparse ids,
+  /// the number of pages they were spread over.
   class TrailerTable {
   public:
     Trailer &insert(vm::ObjectId Id) {
@@ -175,10 +188,19 @@ private:
       std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
       if (Pi >= Pages.size())
         Pages.resize(Pi + 1);
-      if (!Pages[Pi])
-        Pages[Pi] = std::make_unique<Page>();
-      if (Pi > Frontier)
+      if (Pi > Frontier) {
+        // The old frontier page is never revisited once allocation has
+        // moved past it, so if it drained while it was the frontier it
+        // is released now (erase() only releases pages behind it).
+        // Sparse (sampled) id streams hit this on almost every page.
+        if (Pages[Frontier] && Pages[Frontier]->LiveCount == 0)
+          releasePage(Frontier);
         Frontier = Pi;
+      }
+      if (!Pages[Pi]) {
+        Pages[Pi] = std::make_unique<Page>();
+        PeakResident = std::max(PeakResident, ++Resident);
+      }
       Page &Pg = *Pages[Pi];
       if (!Pg.Live[Si]) {
         Pg.Live[Si] = true;
@@ -210,9 +232,11 @@ private:
       // Keep the frontier page even when briefly empty: allocation is
       // still filling it and releasing would just recreate it.
       if (Pg.LiveCount == 0 && Pi < Frontier)
-        Pages[Pi].reset();
+        releasePage(Pi);
     }
     std::size_t size() const { return LiveTotal; }
+    std::size_t residentPages() const { return Resident; }
+    std::size_t peakResidentPages() const { return PeakResident; }
 
   private:
     static constexpr std::size_t PageSize = 4096;
@@ -221,9 +245,15 @@ private:
       bool Live[PageSize] = {};
       std::size_t LiveCount = 0;
     };
+    void releasePage(std::size_t Pi) {
+      Pages[Pi].reset();
+      --Resident;
+    }
     std::vector<std::unique_ptr<Page>> Pages;
     std::size_t Frontier = 0;
     std::size_t LiveTotal = 0;
+    std::size_t Resident = 0;
+    std::size_t PeakResident = 0;
   };
 
   Trailer *findTrailer(vm::ObjectId Id);

@@ -396,9 +396,9 @@ ChunkCompressor::transform(const std::byte *Data, std::size_t Size) {
   std::span<const std::byte> Frame(Data, Size);
   if (!chunkCompressed(H.PayloadBytes)) {
     RawBytes += WireLen;
-    Lz = support::lzCompress(Payload, WireLen);
+    Lz = Enc.compress(Payload, WireLen);
     if (!Lz.empty()) {
-      // lzCompress only returns a block strictly smaller than the
+      // The encoder only returns a block strictly smaller than the
       // input, so the flag bit never collides with the length bits.
       NewField = static_cast<std::uint32_t>(Lz.size()) | ChunkCompressedBit;
       Scratch.resize(sizeof(ChunkHeader) + Lz.size());

@@ -74,6 +74,7 @@
 #define JDRAG_PROFILER_EVENTSTREAM_H
 
 #include "profiler/SiteTable.h"
+#include "support/Lz.h"
 #include "support/Units.h"
 #include "vm/Value.h"
 
@@ -388,9 +389,11 @@ bool rebuildChunkIndex(std::span<const std::byte> Stream, WireFormat F,
 /// transform runs off the VM's critical path (on the file sink /
 /// background writer / sender, never in EventBuffer::flush).
 ///
-/// Data chunks get their payload LZ-compressed (stored raw, flag
-/// clear, when incompressible -- lzCompress's >= rule guarantees a
-/// compressed frame is strictly smaller); Seq, Magic and Crc are
+/// Data chunks get their payload LZ-compressed by the compressor's own
+/// LzEncoder (stored raw, flag clear, when incompressible -- the
+/// encoder's >= rule guarantees a compressed frame is strictly
+/// smaller), so a stream's bytes depend on that stream alone, not on
+/// what else its thread compressed before; Seq, Magic and Crc are
 /// preserved, Crc still covering the uncompressed payload. The
 /// terminal chunk index footer passes through uncompressed but has its
 /// entries rewritten -- Offset and PayloadBytes replaced with the
@@ -423,7 +426,8 @@ private:
     std::uint32_t Field = 0;      ///< on-wire PayloadBytes field
   };
   std::vector<WireRecord> Wire;
-  std::vector<std::uint8_t> Lz;     ///< lzCompress output scratch
+  support::LzEncoder Enc;           ///< this stream's match state
+  std::vector<std::uint8_t> Lz;     ///< Enc.compress output scratch
   std::vector<std::byte> Scratch;   ///< rewritten frame scratch
   std::uint64_t Offset = 0;         ///< on-wire offset of the next frame
   std::uint64_t RawBytes = 0;

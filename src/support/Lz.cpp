@@ -13,14 +13,15 @@ using namespace jdrag::support;
 
 namespace {
 
-// Hash-chain matcher state. Head maps the Fibonacci hash of a 4-byte
-// prefix to the most recent position (+1, so 0 means "empty") that
-// carried it; Prev chains each window slot to the previous position
-// with the same hash. The tables are thread-local and never cleared
-// between blocks: stale entries are harmless because every candidate
-// must pass the "earlier in THIS block, inside the window, and the
-// bytes actually match" guards before it is used, and a chain step is
-// only followed while positions strictly decrease.
+// Hash-chain matcher state (LzEncoder::MatchTables). Head maps the
+// Fibonacci hash of a 4-byte prefix to the most recent position (+1, so
+// 0 means "empty") that carried it; Prev chains each window slot to the
+// previous position with the same hash. The tables belong to one
+// stream's encoder and are not cleared between its blocks: stale
+// entries are harmless because every candidate must pass the "earlier
+// in THIS block, inside the window, and the bytes actually match"
+// guards before it is used, and a chain step is only followed while
+// positions strictly decrease.
 constexpr unsigned HashBits = 16;
 constexpr std::size_t HashSlots = std::size_t(1) << HashBits;
 constexpr std::size_t WindowSlots = std::size_t(1) << 16;
@@ -41,20 +42,6 @@ constexpr std::size_t InsertStep = 2;
 // striding (LZ4's acceleration trick), so incompressible input reaches
 // the stored-raw bail-out quickly instead of probing every byte.
 constexpr unsigned SkipTrigger = 6;
-
-struct MatchTables {
-  std::uint32_t Head[HashSlots];
-  std::uint32_t Prev[WindowSlots];
-};
-
-MatchTables &tables() {
-  static thread_local std::unique_ptr<MatchTables> T;
-  if (!T) {
-    T = std::make_unique<MatchTables>();
-    std::memset(T.get(), 0, sizeof(MatchTables));
-  }
-  return *T;
-}
 
 inline std::uint32_t load32(const std::uint8_t *P) {
   std::uint32_t V;
@@ -100,8 +87,24 @@ void putSequence(std::vector<std::uint8_t> &Out, const std::uint8_t *LitStart,
 
 } // namespace
 
+struct LzEncoder::MatchTables {
+  std::uint32_t Head[HashSlots] = {};
+  // Only a chain walk deeper than the head probe reads Prev.
+  std::uint32_t Prev[MaxChainDepth > 1 ? WindowSlots : 1] = {};
+};
+
+LzEncoder::LzEncoder() = default;
+LzEncoder::~LzEncoder() = default;
+LzEncoder::LzEncoder(LzEncoder &&) noexcept = default;
+LzEncoder &LzEncoder::operator=(LzEncoder &&) noexcept = default;
+
 std::vector<std::uint8_t> jdrag::support::lzCompress(const void *Data,
                                                      std::size_t Size) {
+  return LzEncoder().compress(Data, Size);
+}
+
+std::vector<std::uint8_t> LzEncoder::compress(const void *Data,
+                                              std::size_t Size) {
   const auto *Src = static_cast<const std::uint8_t *>(Data);
   std::vector<std::uint8_t> Out;
   // One prefix byte >= zero payload bytes for the empty input; the
@@ -127,7 +130,9 @@ std::vector<std::uint8_t> jdrag::support::lzCompress(const void *Data,
     return Out.size() >= Size ? std::vector<std::uint8_t>() : Out;
   }
 
-  MatchTables &T = tables();
+  if (!Tables)
+    Tables = std::make_unique<MatchTables>();
+  MatchTables &T = *Tables;
   // The stream must end with a literals-only sequence, so no match may
   // run into the final MinMatch bytes, and the last position worth
   // probing leaves room for a minimum match before that tail.
@@ -169,6 +174,8 @@ std::vector<std::uint8_t> jdrag::support::lzCompress(const void *Data,
             break;
         }
       }
+      if (Depth == 0)
+        break; // chain budget spent
       std::uint32_t Next = T.Prev[C & WindowMask];
       if (Next == 0 || Next - 1 >= C)
         break; // stale chain entry

@@ -28,7 +28,11 @@
 /// Matches are found with a hash-table matcher over 4-byte prefixes
 /// (bounded chain walk, tuned to a single head probe by default, with
 /// backward extension into pending literals); the window is the offset
-/// range (64 KiB).
+/// range (64 KiB). The matcher's tables belong to an LzEncoder, one per
+/// compressed stream, and carry over from one block of that stream to
+/// the next; the encoded bytes therefore depend only on the blocks the
+/// stream has compressed so far, never on the thread or on any other
+/// stream.
 /// compress() returns an empty vector whenever the encoded block would
 /// be >= the input -- the caller stores the chunk raw and clears the
 /// compressed flag, so an incompressible chunk costs zero bytes of
@@ -41,6 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace jdrag::support {
@@ -52,11 +57,33 @@ constexpr std::size_t LzMinMatch = 4;
 /// Match offsets are 16-bit, so the effective window is 64 KiB - 1.
 constexpr std::size_t LzMaxOffset = 65535;
 
-/// Compress \p Size bytes at \p Data. Returns the encoded block
-/// ([uvarint RawLen][token stream]), or an EMPTY vector when the input
-/// is incompressible (encoded size would be >= Size) -- the caller must
-/// then store the payload raw. An empty input is "incompressible" by
-/// this rule (the uvarint prefix alone is one byte).
+/// The compressing side of one stream: owns the match tables, which
+/// start empty and persist across compress() calls. Each block still
+/// decodes on its own (matches never reach outside the block); the
+/// carried-over tables only decide which in-block candidate a probe
+/// finds first.
+class LzEncoder {
+public:
+  LzEncoder();
+  ~LzEncoder();
+  LzEncoder(LzEncoder &&) noexcept;
+  LzEncoder &operator=(LzEncoder &&) noexcept;
+
+  /// Compress \p Size bytes at \p Data. Returns the encoded block
+  /// ([uvarint RawLen][token stream]), or an EMPTY vector when the
+  /// input is incompressible (encoded size would be >= Size) -- the
+  /// caller must then store the payload raw. An empty input is
+  /// "incompressible" by this rule (the uvarint prefix alone is one
+  /// byte).
+  std::vector<std::uint8_t> compress(const void *Data, std::size_t Size);
+
+private:
+  struct MatchTables;
+  std::unique_ptr<MatchTables> Tables; ///< allocated on first use
+};
+
+/// One-shot compression: LzEncoder().compress(Data, Size), i.e. from
+/// empty match tables, so the result depends on the input alone.
 std::vector<std::uint8_t> lzCompress(const void *Data, std::size_t Size);
 
 /// Decompress an encoded block of \p Size bytes at \p Data into \p Out.

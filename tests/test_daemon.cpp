@@ -5,6 +5,9 @@
 //
 //  - an uninterrupted session leaves a daemon-side recording and TOP
 //    aggregate bit-identical to a local recording + offline replay;
+//  - a mixed fleet (one exact, one sampled session) gives a TOP and
+//    CLIENTS object-byte totals equal to a materialized offline replay
+//    of both session files;
 //  - SIGKILLing the daemon mid-stream never takes the VM down: the sink
 //    fails over to the local spool, nothing is dropped, the daemon's
 //    partial recording fscks with a clean salvageable prefix, and the
@@ -20,10 +23,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/DragReport.h"
 #include "benchmarks/Benchmarks.h"
 #include "daemon/Daemon.h"
 #include "daemon/Protocol.h"
 #include "profiler/DragProfiler.h"
+#include "profiler/Sampling.h"
 #include "profiler/SocketEventSink.h"
 #include "profiler/StreamSalvage.h"
 
@@ -64,28 +69,48 @@ public:
   std::uint64_t Events = 0;
 };
 
-const benchmarks::BenchmarkProgram &jessBench() {
+const benchmarks::BenchmarkProgram &benchNamed(const std::string &Name) {
   static std::vector<benchmarks::BenchmarkProgram> All =
       benchmarks::buildAll();
   for (const auto &B : All)
-    if (B.Name == "jess")
+    if (B.Name == Name)
       return B;
   std::abort();
 }
 
-/// Runs the jess workload with \p Sink receiving the event stream,
-/// using the same options for every caller so chunk boundaries (and
-/// therefore file bytes) are reproducible across runs.
-StreamHealth runWorkload(EventSink &Sink) {
-  const benchmarks::BenchmarkProgram &B = jessBench();
+const benchmarks::BenchmarkProgram &jessBench() { return benchNamed("jess"); }
+
+/// Runs workload \p B (jess by default) with \p Sink receiving the
+/// event stream, using the same options for every caller so chunk
+/// boundaries (and therefore file bytes) are reproducible across runs.
+/// A non-zero \p SampleBytes samples allocations at that interval; the
+/// sink must then be opened for the v5 format.
+StreamHealth runWorkload(EventSink &Sink,
+                         const benchmarks::BenchmarkProgram &B = jessBench(),
+                         std::uint64_t SampleBytes = 0) {
   vm::VMOptions Opts;
   Opts.DeepGCIntervalBytes = 100 * KB;
   Opts.Sink = &Sink;
+  Opts.SampleBytes = SampleBytes;
   vm::VirtualMachine VM(B.Prog, Opts);
   VM.setInputs(B.DefaultInputs);
   std::string Err;
   EXPECT_EQ(VM.run(&Err), vm::Interpreter::Status::Ok) << Err;
   return VM.streamHealth();
+}
+
+/// The daemon's live fold re-derived the materialized way: replay the
+/// session file at \p Path offline into a full record list (returned
+/// in \p Log), build the drag report from that list, and fold it into
+/// \p Fleet. Neither the daemon's decoder nor its live record sink
+/// takes part.
+void foldOffline(FleetAggregate &Fleet, const benchmarks::BenchmarkProgram &B,
+                 const std::string &Path, ProfileLog &Log) {
+  std::string Err;
+  ASSERT_TRUE(replayProfile(Path, B.Prog, ProfilerConfig(), Log, &Err))
+      << Err;
+  analysis::DragReport Report(B.Prog, Log);
+  Fleet.fold(B.Name, Report);
 }
 
 /// A real jdragd in a forked child, bound to Unix sockets in a fresh
@@ -360,13 +385,8 @@ TEST(Daemon, UninterruptedSessionIsBitIdenticalToLocalRecord) {
   // the recorded file, byte for byte.
   std::string AdminTop = H.admin("TOP 10");
   ProfileLog Log;
-  std::string Err;
-  ASSERT_TRUE(
-      replayProfile(DaemonPath, jessBench().Prog, ProfilerConfig(), Log,
-                    &Err))
-      << Err;
   FleetAggregate Offline;
-  Offline.fold("jess", jessBench().Prog, Log);
+  foldOffline(Offline, jessBench(), DaemonPath, Log);
   EXPECT_EQ(AdminTop, Offline.renderTop(10));
   EXPECT_FALSE(AdminTop.empty());
 
@@ -374,6 +394,94 @@ TEST(Daemon, UninterruptedSessionIsBitIdenticalToLocalRecord) {
   std::string Health = H.admin("HEALTH");
   EXPECT_NE(Health.find("sessions_clean=1"), std::string::npos);
   EXPECT_NE(Health.find("bye_mismatches=0"), std::string::npos);
+  EXPECT_NE(Health.find("decode_errors=0"), std::string::npos);
+  EXPECT_EQ(H.shutdown(), 0);
+}
+
+//===----------------------------------------------------------------------===//
+// End-to-end: a mixed exact + sampled fleet
+//===----------------------------------------------------------------------===//
+
+/// The "raw-obj-bytes=... est-obj-bytes=..." totals CLIENTS prints for
+/// the session whose line starts with \p Prefix ("" when absent).
+std::string objBytesField(const std::string &Clients,
+                          const std::string &Prefix) {
+  std::size_t L = Clients.find(Prefix);
+  if (L == std::string::npos)
+    return "";
+  std::string Line = Clients.substr(L, Clients.find('\n', L) - L);
+  std::size_t B = Line.find(" raw-obj-bytes=");
+  if (B == std::string::npos)
+    return "";
+  std::size_t E = Line.find(' ', Line.find(" est-obj-bytes=", B) + 1);
+  return Line.substr(B + 1, E == std::string::npos ? E : E - B - 1);
+}
+
+TEST(Daemon, MixedExactAndSampledFleetMatchesOfflineFold) {
+  DaemonHarness H;
+  H.start();
+
+  // Session 0: jess, exact. Session 1: jack, sampled at the interval
+  // the sampling suite scales to these miniature workloads.
+  constexpr std::uint64_t SampleBytes = 8 * KB;
+  const benchmarks::BenchmarkProgram &Jack = benchNamed("jack");
+  {
+    SocketEventSink::Options SO;
+    SO.Connect = H.SessionAddr;
+    SO.Name = "jess";
+    SocketEventSink Sock(SO);
+    EXPECT_TRUE(runWorkload(Sock).intact());
+  }
+  {
+    SocketEventSink::Options SO;
+    SO.Connect = H.SessionAddr;
+    SO.Name = "jack";
+    SO.Sampling.SampleBytes = SampleBytes;
+    SO.Format = effectiveFormat(SO.Format, SO.Sampling);
+    SocketEventSink Sock(SO);
+    EXPECT_TRUE(runWorkload(Sock, Jack, SampleBytes).intact());
+  }
+  bool Done = false;
+  for (int I = 0; I != 500 && !Done; ++I) {
+    Done = H.admin("HEALTH").find("sessions_clean=2") != std::string::npos;
+    if (!Done)
+      ::usleep(5000);
+  }
+  ASSERT_TRUE(Done);
+
+  // (a) TOP over the whole fleet equals folding both recorded sessions
+  // offline, row for row, including the sampled-estimate flags.
+  ProfileLog JessLog, JackLog;
+  FleetAggregate Offline;
+  foldOffline(Offline, jessBench(), H.Dir + "/session-0-jess.jdev", JessLog);
+  foldOffline(Offline, Jack, H.Dir + "/session-1-jack.jdev", JackLog);
+  EXPECT_EQ(JackLog.SampleRate, SampleBytes);
+  std::string AdminTop = H.admin("TOP 100");
+  EXPECT_EQ(AdminTop, Offline.renderTop(100));
+  EXPECT_NE(AdminTop.find("jess  "), std::string::npos);
+  EXPECT_NE(AdminTop.find("[sampled estimate]"), std::string::npos);
+
+  // (b) Each session's CLIENTS object-byte totals equal sums over the
+  // offline-replayed records, scaled estimate summed in record order.
+  auto Totals = [](const ProfileLog &Log) {
+    std::uint64_t Raw = 0;
+    double Est = 0;
+    for (const ObjectRecord &R : Log.Records) {
+      Raw += R.Bytes;
+      Est += static_cast<double>(R.Bytes) *
+             sampleWeight(R.Bytes, Log.SampleRate);
+    }
+    return "raw-obj-bytes=" + std::to_string(Raw) + " est-obj-bytes=" +
+           std::to_string(static_cast<std::uint64_t>(Est));
+  };
+  std::string Clients = H.admin("CLIENTS");
+  EXPECT_EQ(objBytesField(Clients, "client 0 name=jess"), Totals(JessLog));
+  EXPECT_EQ(objBytesField(Clients, "client 1 name=jack"), Totals(JackLog));
+  EXPECT_NE(Clients.find("sample=exact"), std::string::npos);
+  EXPECT_NE(Clients.find("sample=" + std::to_string(SampleBytes)),
+            std::string::npos);
+
+  std::string Health = H.admin("HEALTH");
   EXPECT_NE(Health.find("decode_errors=0"), std::string::npos);
   EXPECT_EQ(H.shutdown(), 0);
 }

@@ -16,6 +16,7 @@
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <thread>
 #include <vector>
 
 using namespace jdrag::support;
@@ -142,6 +143,87 @@ TEST(LzCodec, RandomizedRoundTripSweep) {
       }
     }
     roundTrip(Data);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Output depends on the input stream alone
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Fn on a thread that has compressed nothing before.
+template <typename FnT> auto onFreshThread(FnT Fn) {
+  decltype(Fn()) Out;
+  std::thread([&] { Out = Fn(); }).join();
+  return Out;
+}
+
+/// A block pair where remembered match positions would change B's
+/// encoding. B is noise with a 5-byte repeat of B[C, C+5) at offset
+/// 3000, then a zero run that makes it compressible. Deep in the noise
+/// the matcher probes only every few positions, so B never indexes
+/// position C and, compressed alone, emits the repeat as literals. A is
+/// a zero run up to C followed by B[C, C+64): compressing it indexes
+/// position C under the repeat's hash, and a matcher that kept that
+/// entry would find the repeat in B as a match.
+struct HistoryPair {
+  std::vector<std::uint8_t> A, B;
+};
+
+HistoryPair historyPair(const std::vector<std::uint8_t> &Noise,
+                        std::size_t C) {
+  HistoryPair P;
+  P.B.assign(Noise.begin(), Noise.begin() + 3000);
+  P.B.insert(P.B.end(), P.B.begin() + C, P.B.begin() + C + 5);
+  P.B.insert(P.B.end(), Noise.begin() + 3000, Noise.end());
+  P.B.resize(P.B.size() + 16384, 0);
+  P.A.assign(C, 0);
+  P.A.insert(P.A.end(), P.B.begin() + C, P.B.begin() + C + 64);
+  return P;
+}
+
+std::vector<std::uint8_t> noise(std::uint64_t Seed, std::size_t N) {
+  Rng R(Seed);
+  std::vector<std::uint8_t> Out(N);
+  for (std::uint8_t &B : Out)
+    B = R.byte();
+  return Out;
+}
+
+TEST(LzCodec, OneShotOutputIgnoresThreadHistory) {
+  // B compressed after A on one thread == B compressed on a fresh
+  // thread: the matcher's tables must not carry A's positions into B.
+  std::vector<std::uint8_t> Noise = noise(0xB10C, 4096);
+  for (std::size_t C = 2000; C != 2064; ++C) {
+    HistoryPair P = historyPair(Noise, C);
+    std::vector<std::uint8_t> Fresh =
+        onFreshThread([&] { return lzCompress(P.B.data(), P.B.size()); });
+    ASSERT_FALSE(Fresh.empty());
+    std::vector<std::uint8_t> After = onFreshThread([&] {
+      lzCompress(P.A.data(), P.A.size());
+      return lzCompress(P.B.data(), P.B.size());
+    });
+    EXPECT_EQ(After, Fresh) << "C = " << C;
+  }
+}
+
+TEST(LzCodec, EncoderStreamsAreIndependent) {
+  // Two streams interleaved on one thread encode exactly as each does
+  // alone on a fresh thread, and a stream's first block is the
+  // one-shot encoding.
+  std::vector<std::uint8_t> Noise = noise(0x57AE, 4096);
+  for (std::size_t C = 2000; C != 2016; ++C) {
+    HistoryPair P = historyPair(Noise, C);
+    std::vector<std::uint8_t> Alone = onFreshThread([&] {
+      LzEncoder E;
+      E.compress(P.B.data(), P.B.size());
+      return E.compress(P.B.data(), P.B.size());
+    });
+    LzEncoder E1, E2;
+    E1.compress(P.A.data(), P.A.size());
+    EXPECT_EQ(E2.compress(P.B.data(), P.B.size()),
+              lzCompress(P.B.data(), P.B.size()));
+    E1.compress(P.A.data(), P.A.size());
+    EXPECT_EQ(E2.compress(P.B.data(), P.B.size()), Alone) << "C = " << C;
   }
 }
 

@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace jdrag;
 using namespace jdrag::profiler;
 
@@ -400,6 +402,73 @@ TEST(SampledProfile, ProfileLogSerializationKeepsParams) {
   EXPECT_EQ(Back.SampleRate, Log.SampleRate);
   EXPECT_EQ(Back.SampleSeed, Log.SampleSeed);
   EXPECT_EQ(Back.Records.size(), Log.Records.size());
+  std::remove(Path.c_str());
+}
+
+// Trailer pages hold 4096 object ids each. A sampled stream only
+// carries the sampled objects, so its ids are sparse and most pages
+// hold one object: a page that drains while it is the allocation
+// frontier must be released once the frontier moves on, or replay
+// memory grows with the number of pages the ids touched (~233 KB each)
+// instead of with the live set.
+TEST(SampledProfile, ReplayKeepsTrailerPagesToTheLiveSet) {
+  auto All = benchmarks::buildAll();
+  const benchmarks::BenchmarkProgram *Jack = nullptr;
+  for (const auto &W : All)
+    if (W.Name == "jack")
+      Jack = &W;
+  ASSERT_NE(Jack, nullptr);
+  std::string Path = "/tmp/jdrag_trailer_pages." +
+                     std::to_string(::getpid()) + ".jdev";
+  auto Record = [&](std::uint64_t SampleBytes) {
+    FileEventSink Sink;
+    FileEventSink::Options FO;
+    FO.Sampling.SampleBytes = SampleBytes;
+    FO.Format = effectiveFormat(FO.Format, FO.Sampling);
+    ASSERT_TRUE(Sink.open(Path, FO));
+    vm::VMOptions Opts;
+    Opts.DeepGCIntervalBytes = 100 * KB;
+    Opts.Sink = &Sink;
+    Opts.SampleBytes = SampleBytes;
+    vm::VirtualMachine VM(Jack->Prog, Opts);
+    VM.setInputs(Jack->DefaultInputs);
+    ASSERT_EQ(VM.run(), vm::Interpreter::Status::Ok);
+  };
+  std::string Err;
+
+  // Sampled: the resident-page peak stays within one page of the live
+  // trailer peak, and nothing but the frontier page outlives the run.
+  Record(DefaultSampleBytes);
+  {
+    DragProfiler Prof(Jack->Prog);
+    ASSERT_TRUE(replayFile(Path, Prof, &Err)) << Err;
+    EXPECT_GT(Prof.log().Records.size(), 0u);
+    EXPECT_LE(Prof.peakResidentTrailerPages(), Prof.peakLiveTrailers() + 1);
+    EXPECT_EQ(Prof.liveTrailers(), 0u);
+    EXPECT_LE(Prof.residentTrailerPages(), 1u);
+  }
+
+  // Exact: the same bound, and page release changes nothing the report
+  // shows -- the replayed report equals the live-attached profile's.
+  Record(0);
+  {
+    DragProfiler Prof(Jack->Prog);
+    ASSERT_TRUE(replayFile(Path, Prof, &Err)) << Err;
+    EXPECT_LE(Prof.peakResidentTrailerPages(), Prof.peakLiveTrailers() + 1);
+    profiler::ProfileLog LiveLog = profileWorkload(*Jack, 0);
+    analysis::DragReport FromFile(Jack->Prog, Prof.log());
+    analysis::DragReport FromLive(Jack->Prog, LiveLog);
+    ASSERT_EQ(FromFile.groups().size(), FromLive.groups().size());
+    EXPECT_EQ(FromFile.totalDrag(), FromLive.totalDrag());
+    for (std::size_t I = 0; I != FromFile.groups().size(); ++I) {
+      const analysis::SiteGroup &A = FromFile.groups()[I];
+      const analysis::SiteGroup &B = FromLive.groups()[I];
+      EXPECT_EQ(siteKey(Prof.log(), A.Site), siteKey(LiveLog, B.Site));
+      EXPECT_EQ(A.TotalDrag, B.TotalDrag);
+      EXPECT_EQ(A.ObjectCount, B.ObjectCount);
+      EXPECT_EQ(A.TotalBytes, B.TotalBytes);
+    }
+  }
   std::remove(Path.c_str());
 }
 

@@ -2,14 +2,18 @@
 """End-to-end smoke test for the jdragd collector daemon.
 
 Spawns a real `jdragd serve` on Unix sockets in a temp directory, streams
-one benchmark run into it with `jdrag record --connect`, and asserts the
-daemon's three output surfaces against offline ground truth:
+one exact benchmark run and then one sampled run of a second benchmark
+into it with `jdrag record --connect`, and asserts the daemon's output
+surfaces against offline ground truth:
 
-  1. the per-session recording is byte-identical to a plain local
-     `jdrag record` of the same benchmark;
-  2. the live admin `TOP` is byte-identical to `jdragd top` replaying
-     the recorded session file offline;
-  3. `HEALTH` accounting shows one clean session and no errors, and
+  1. each per-session recording is byte-identical to a plain local
+     `jdrag record` of the same benchmark and flags;
+  2. after the exact session, the live admin `TOP` is byte-identical to
+     `jdragd top` replaying the recorded session file offline; after the
+     sampled one, the fleet-wide `TOP` holds exactly the rows of
+     `jdragd top` over each session file, in the same order per
+     benchmark;
+  3. `HEALTH` accounting shows two clean sessions and no errors, and
      `SHUTDOWN` exits the daemon with status 0.
 
 Usage: daemon_smoke.py <jdragd-binary> <jdrag-binary>
@@ -22,6 +26,10 @@ import subprocess
 import sys
 import tempfile
 import time
+
+# The sampled client: a second benchmark, recorded at this sampling rate.
+SAMPLED_BENCH = "jack"
+SAMPLE_BYTES = "8192"
 
 
 def fail(msg):
@@ -93,9 +101,63 @@ def main():
                      f"--- live ---\n{live.stdout}"
                      f"--- offline ---\n{offline.stdout}")
 
+            # A sampled client of a second benchmark joins the fleet.
+            sampled = SAMPLED_BENCH
+            flags = ["--sample-bytes", SAMPLE_BYTES]
+            r = run([args.jdrag, "record", sampled, spool,
+                     "--connect", "unix:" + sess_sock] + flags)
+            if r.returncode != 0:
+                fail(f"sampled jdrag record --connect rc={r.returncode}: "
+                     f"{r.stderr}")
+            for _ in range(500):
+                if "sessions_clean=2" in query("HEALTH").stdout:
+                    break
+                time.sleep(0.01)
+            else:
+                fail("sampled session was never finalized")
+            session2 = os.path.join(d, f"session-1-{sampled}.jdev")
+            local2 = os.path.join(d, "local-sampled.jdev")
+            r = run([args.jdrag, "record", sampled, local2] + flags)
+            if r.returncode != 0:
+                fail(f"local sampled record rc={r.returncode}: {r.stderr}")
+            if not filecmp.cmp(session2, local2, shallow=False):
+                fail("sampled session recording differs from local record")
+
+            # Fleet TOP == the union of both sessions' offline rows. The
+            # rank column differs once rows interleave, so compare rows
+            # without it: same set, same order within each benchmark.
+            def rows(text):
+                return [line.split(None, 1)[1]
+                        for line in text.splitlines() if line.strip()]
+
+            live = query("TOP 100000")
+            if live.returncode != 0:
+                fail(f"TOP query rc={live.returncode}: {live.stderr}")
+            fleet = rows(live.stdout)
+            offline_rows = []
+            for bench, path in ((args.bench, session), (sampled, session2)):
+                r = run([args.jdragd, "top", bench, path, "--top", "100000"])
+                if r.returncode != 0:
+                    fail(f"jdragd top {bench} rc={r.returncode}: {r.stderr}")
+                mine = rows(r.stdout)
+                in_fleet = [row for row in fleet
+                            if f"  {bench}  " in row]
+                if mine != in_fleet or not mine:
+                    fail(f"fleet TOP rows for {bench} differ from "
+                         f"`jdragd top`:\n--- live ---\n{live.stdout}"
+                         f"--- offline ---\n{r.stdout}")
+                offline_rows += mine
+            if sorted(fleet) != sorted(offline_rows):
+                fail("fleet TOP holds rows no session file accounts for")
+            if "[sampled estimate]" not in live.stdout:
+                fail("fleet TOP does not flag the sampled session's rows")
+            clients = query("CLIENTS").stdout
+            if f"sample={SAMPLE_BYTES}" not in clients:
+                fail(f"CLIENTS does not show the sampling rate:\n{clients}")
+
             # (3) accounting and clean shutdown.
             health = query("HEALTH").stdout
-            for want in ("sessions_total=1", "sessions_clean=1",
+            for want in ("sessions_total=2", "sessions_clean=2",
                          "decode_errors=0", "protocol_errors=0",
                          "bye_mismatches=0"):
                 if want not in health:
@@ -110,7 +172,8 @@ def main():
                 daemon.kill()
                 daemon.wait()
 
-    print("daemon_smoke: OK (recording, TOP, and HEALTH all match)")
+    print("daemon_smoke: OK (recordings, exact and mixed-fleet TOP, and "
+          "HEALTH all match)")
     return 0
 
 

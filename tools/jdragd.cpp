@@ -15,9 +15,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/StreamingAnalysis.h"
 #include "benchmarks/Benchmarks.h"
 #include "daemon/Daemon.h"
-#include "profiler/DragProfiler.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -130,17 +130,19 @@ int cmdTop(const std::vector<std::string> &Args) {
     return 1;
   }
   // Deliberately the daemon's exact live pipeline: default profiler
-  // config, sequential decode, the same FleetAggregate rendering -- so
-  // this output is byte-comparable against the admin TOP response.
-  profiler::ProfileLog Log;
+  // config, one sequential decode folding records as they die, the same
+  // FleetAggregate rendering -- so this output is byte-comparable
+  // against the admin TOP response, in the same O(live) memory.
+  analysis::StreamAnalysisOptions O;
+  O.Jobs = 1;
+  analysis::StreamAnalysisResult R;
   std::string Err;
-  if (!profiler::replayProfile(Path, *Prog, profiler::ProfilerConfig(), Log,
-                               &Err)) {
+  if (!analysis::analyzeEventStream(Path, *Prog, O, R, &Err)) {
     std::fprintf(stderr, "jdragd: replay failed: %s\n", Err.c_str());
     return 1;
   }
   FleetAggregate Fleet;
-  Fleet.fold(Bench, *Prog, Log);
+  Fleet.fold(Bench, *R.Report);
   std::printf("%s", Fleet.renderTop(N).c_str());
   return 0;
 }
