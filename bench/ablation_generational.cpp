@@ -22,6 +22,7 @@
 
 #include "BenchCommon.h"
 
+#include "profiler/EventStream.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "vm/VirtualMachine.h"
@@ -33,13 +34,17 @@ using namespace jdrag::vm;
 
 namespace {
 
-/// Collects reachable-bytes samples at every GC.
-class FootprintObserver : public VMObserver {
+/// Collects reachable-bytes samples from every GCEnd record of the
+/// event stream.
+class FootprintConsumer : public profiler::EventConsumer {
 public:
   std::uint64_t Sum = 0, Count = 0, GCs = 0;
-  void onGCEnd(ByteTime, std::uint64_t ReachableBytes,
-               std::uint64_t) override {
-    Sum += ReachableBytes;
+  void onSite(profiler::SiteId,
+              std::span<const profiler::SiteFrame>) override {}
+  void onEvent(const profiler::EventRecord &E) override {
+    if (E.kind() != profiler::EventKind::GCEnd)
+      return;
+    Sum += E.Arg0; // reachable bytes
     ++Count;
     ++GCs;
   }
@@ -55,9 +60,10 @@ struct Footprint {
 
 Footprint measure(const ir::Program &P,
                   const std::vector<std::int64_t> &Inputs, bool Gen) {
-  FootprintObserver Obs;
+  FootprintConsumer Obs;
+  profiler::DispatchSink Sink(Obs);
   VMOptions Opts;
-  Opts.Observer = &Obs;
+  Opts.Sink = &Sink;
   if (Gen) {
     Opts.Generational.Enabled = true;
     Opts.Generational.NurseryBytes = 256 * KB;

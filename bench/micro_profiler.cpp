@@ -90,7 +90,7 @@ void BM_InterpreterPlain(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpreterPlain)->Arg(10000);
 
-/// Observer-overhead ladder, step 2 of 3: the VM emits, encodes and
+/// Profiling-overhead ladder, step 2 of 3: the VM emits, encodes and
 /// chunks every event but the sink discards the bytes -- isolating the
 /// pure event-production cost from the consumer (compare against
 /// BM_InterpreterPlain below it and BM_InterpreterProfiled above it).
@@ -112,79 +112,9 @@ void BM_InterpreterNullSink(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpreterNullSink)->Arg(10000);
 
-/// Hot-path ladder, dispatch rung: the null-sink run on the portable
-/// `switch` loop instead of computed-goto threading. The delta against
-/// BM_InterpreterNullSink is what threaded dispatch buys; the streams
-/// are bit-identical either way (docs/vm-hotpath.md).
-void BM_InterpreterSwitchDispatch(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.Dispatch = DispatchMode::Switch;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterSwitchDispatch)->Arg(10000);
-
-/// Hot-path ladder, emission rung: the null-sink run with the per-pc
-/// site-id/callee-context inline caches disabled, forcing every event
-/// through the context-trie probe. The delta against
-/// BM_InterpreterNullSink is what the caches save.
-void BM_InterpreterNoSiteCache(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.SiteInlineCache = false;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterNoSiteCache)->Arg(10000);
-
-/// Hot-path ladder, allocation rung: the null-sink run with the
-/// size-class allocation fast path off (every New/NewArray takes the
-/// full slow path: budget check, fresh object, policy checks).
-void BM_InterpreterNoAllocFastPath(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.AllocFastPath = false;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterNoAllocFastPath)->Arg(10000);
-
 /// The allocator in isolation: rounds of short-lived allocations with a
-/// collection between rounds, so the fast path's size-class free lists
-/// actually recycle. Arg is the fast-path switch (0 = legacy
-/// delete/new, 1 = size-class recycling + slot templates).
-void BM_AllocFastPath(benchmark::State &State) {
+/// collection between rounds, so span records actually recycle.
+void BM_HeapAllocRecycle(benchmark::State &State) {
   ProgramBuilder PB;
   MiniJDK J = MiniJDK::build(PB);
   (void)J;
@@ -201,7 +131,6 @@ void BM_AllocFastPath(benchmark::State &State) {
     std::abort();
 
   Heap H(P);
-  H.setFastPathAlloc(State.range(0) != 0);
   ClassId NodeClass = P.findClass("Node");
   constexpr std::int64_t Round = 4096;
   std::int64_t Allocs = 0;
@@ -209,12 +138,12 @@ void BM_AllocFastPath(benchmark::State &State) {
     for (std::int64_t I = 0; I != Round; ++I)
       benchmark::DoNotOptimize(H.allocateObject(NodeClass));
     Allocs += Round;
-    GCStats S = H.collect(); // everything is garbage; refill free lists
+    GCStats S = H.collect(); // everything is garbage; free span slots
     benchmark::DoNotOptimize(S.FreedObjects);
   }
   State.SetItemsProcessed(Allocs);
 }
-BENCHMARK(BM_AllocFastPath)->Arg(0)->Arg(1);
+BENCHMARK(BM_HeapAllocRecycle);
 
 /// The legacy fixed-width wire format on the same null-sink run. The
 /// delta against BM_InterpreterNullSink (which encodes v3 varints) is
@@ -523,11 +452,10 @@ public:
 };
 
 /// GC cost against live-set size: a linked list of `n` nodes survives
-/// each collection. range(0) = list length, range(1) = span backend.
+/// each collection. range(0) = list length.
 void BM_MarkSweepGC(benchmark::State &State) {
   Program P = buildNodeGCProgram();
   Heap H(P);
-  H.setSpanBackend(State.range(1) != 0);
   HeadPin Roots;
   H.addRootSource(&Roots);
   FieldId Next = P.findField(P.findClass("Node"), "next");
@@ -545,25 +473,16 @@ void BM_MarkSweepGC(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * N);
   H.removeRootSource(&Roots);
 }
-BENCHMARK(BM_MarkSweepGC)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_MarkSweepGC)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// Minor-collection cost against OLD-generation size. A promoted list
 /// of range(0) nodes sits in the old generation; each iteration churns
 /// a fixed 64 young objects and runs a minor collection. The work a
-/// minor GC does should depend on the young population only: the
-/// legacy backend's sweep walks the whole handle table (so time grows
-/// with range(0)), while the span backend sweeps just the young span
-/// set (time flat in range(0)). range(1) = span backend.
+/// minor GC does should depend on the young population only: the sweep
+/// visits just the young span set, so time stays flat in range(0).
 void BM_MinorGC(benchmark::State &State) {
   Program P = buildNodeGCProgram();
   Heap H(P);
-  H.setSpanBackend(State.range(1) != 0);
   GenerationalConfig G;
   G.Enabled = true;
   G.PromoteAge = 1;
@@ -590,13 +509,7 @@ void BM_MinorGC(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
   H.removeRootSource(&Roots);
 }
-BENCHMARK(BM_MinorGC)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_MinorGC)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_SiteInterning(benchmark::State &State) {
   profiler::SiteTable Sites;
@@ -939,9 +852,8 @@ std::vector<LegacySiteGroup> legacyAggregate(const profiler::ProfileLog &Log) {
 ///   arg 2: streaming, open-addressed -- the production analyzeEventStream
 ///          path: records fold as the decoder emits them, Records never
 ///          materializes
-///   arg 3: streaming, map-index ablation -- the fold with unordered_map
-///          indexes, isolating the open-addressed index win from the
-///          no-materialization win
+///   arg 3: retired (was the map-index ablation of arg 2; BENCH_9
+///          measured it within noise of the open-addressed index)
 ///   arg 4: sharded streaming merge (jobs=2; on a 1-CPU box this prices
 ///          the shard/merge machinery, not parallel speedup)
 ///   arg 5: aggregation only, legacy map pipeline -- over a pre-decoded
@@ -1026,7 +938,6 @@ void BM_Report(benchmark::State &State) {
     } else {
       analysis::StreamAnalysisOptions O;
       O.Jobs = Mode == 4 ? 2 : 1;
-      O.UseMapIndex = Mode == 3;
       if (Mode == 7) {
         O.WantReport = false;
         O.WantLifetimes = false;
@@ -1049,7 +960,6 @@ BENCHMARK(BM_Report)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(3)
     ->Arg(4)
     ->Arg(5)
     ->Arg(6)

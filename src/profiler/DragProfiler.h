@@ -47,6 +47,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -207,8 +209,7 @@ private:
         ++Pg.LiveCount;
         ++LiveTotal;
       }
-      Pg.Slots[Si] = Trailer();
-      return Pg.Slots[Si];
+      return *new (&Pg.Slots[Si].T) Trailer();
     }
     Trailer *find(vm::ObjectId Id) {
       std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
@@ -216,7 +217,7 @@ private:
         return nullptr;
       Page &Pg = *Pages[Pi];
       std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
-      return Pg.Live[Si] ? &Pg.Slots[Si] : nullptr;
+      return Pg.Live[Si] ? &Pg.Slots[Si].T : nullptr;
     }
     void erase(vm::ObjectId Id) {
       std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
@@ -240,8 +241,17 @@ private:
 
   private:
     static constexpr std::size_t PageSize = 4096;
+    /// Storage for one trailer, left unconstructed until insert()
+    /// placement-news it: a new page costs its Live flags, not ~230 KB
+    /// of zero-filled trailers. Live guards every read.
+    union Slot {
+      Slot() {}
+      Trailer T;
+    };
+    static_assert(std::is_trivially_destructible_v<Trailer>);
     struct Page {
-      Trailer Slots[PageSize];
+      Page() {} // user-provided: no zero-fill of Slots
+      Slot Slots[PageSize];
       bool Live[PageSize] = {};
       std::size_t LiveCount = 0;
     };

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <thread>
 
 #ifndef _WIN32
@@ -1605,4 +1606,20 @@ bool jdrag::profiler::readStreamHeader(const std::string &Path,
   }
   std::fclose(F);
   return true;
+}
+
+bool jdrag::profiler::readWholeFile(const std::string &Path,
+                                    std::vector<std::byte> &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  In.seekg(0, std::ios::end);
+  std::streamoff End = In.tellg();
+  if (End < 0)
+    return false;
+  In.seekg(0, std::ios::beg);
+  Out.resize(static_cast<std::size_t>(End));
+  if (End > 0)
+    In.read(reinterpret_cast<char *>(Out.data()), End);
+  return static_cast<bool>(In);
 }

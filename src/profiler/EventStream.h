@@ -959,6 +959,12 @@ bool replayFile(const std::string &Path, EventConsumer &C,
 bool readStreamHeader(const std::string &Path, StreamHeaderInfo &Info,
                       std::string *Err = nullptr);
 
+/// Reads the whole file at \p Path into \p Out (for readers that scan
+/// a recording with random access). Returns false when the file cannot
+/// be opened or read; an empty file reads as an empty \p Out. Callers
+/// own the error message.
+bool readWholeFile(const std::string &Path, std::vector<std::byte> &Out);
+
 } // namespace jdrag::profiler
 
 #endif // JDRAG_PROFILER_EVENTSTREAM_H

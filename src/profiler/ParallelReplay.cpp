@@ -5,7 +5,6 @@
 #include "support/Crc32c.h"
 
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <unordered_set>
@@ -16,21 +15,6 @@ using namespace jdrag::profiler;
 using namespace jdrag::vm;
 
 namespace {
-
-bool readAll(const std::string &Path, std::vector<std::byte> &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  In.seekg(0, std::ios::end);
-  std::streamoff End = In.tellg();
-  if (End < 0)
-    return false;
-  In.seekg(0, std::ios::beg);
-  Out.resize(static_cast<std::size_t>(End));
-  if (End > 0)
-    In.read(reinterpret_cast<char *>(Out.data()), End);
-  return static_cast<bool>(In);
-}
 
 /// One shard's knowledge about one object. Times that depend on the
 /// deep-GC interval boundary are split into *known* values (the shard
@@ -622,7 +606,7 @@ struct ShardedStream {
 /// few chunks to split -- so the caller runs the sequential path, which
 /// produces the canonical result or error message for that input.
 bool loadForSharding(const std::string &Path, ShardedStream &S) {
-  if (!readAll(Path, S.Bytes) || S.Bytes.size() < 16)
+  if (!readWholeFile(Path, S.Bytes) || S.Bytes.size() < 16)
     return false;
   std::uint64_t Magic;
   std::uint32_t Version;

@@ -8,7 +8,7 @@
 /// EventEmitter is the thin, non-virtual facade the interpreter and heap
 /// use to produce the binary instrumentation stream. It owns the hot-path
 /// optimisation that motivates the pipeline: instead of capturing a call
-/// chain on every allocation/use (the old VMObserver contract), the
+/// chain on every allocation/use (a per-event chain capture), the
 /// interpreter maintains a *call-context trie* -- one node per distinct
 /// call path, computed incrementally with a single hash lookup at frame
 /// push -- and an event's nested site is the trie child of (context,

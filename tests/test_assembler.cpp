@@ -237,6 +237,11 @@ struct DiagCase {
   const char *Expect;
 };
 
+// gtest prints a parameter it has no printer for as a byte dump, which
+// for DiagCase is its three pointers: the listed test names would then
+// change with the binary's layout. Print the case name only.
+void PrintTo(const DiagCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class AssemblerDiagnostics : public testing::TestWithParam<DiagCase> {};
 
 TEST_P(AssemblerDiagnostics, RejectsWithMessageAndLine) {
@@ -404,13 +409,5 @@ INSTANTIATE_TEST_SUITE_P(
                  "class A java/lang/Object\nend\nmain A.f\n",
                  "usage: class"}),
     [](const testing::TestParamInfo<DiagCase> &I) {
-      // gtest lists each case with a raw byte dump of its DiagCase, whose
-      // pointer bytes move with the address-space layout of every run.
-      // Padding short names to 12 characters keeps the first 100 characters
-      // of the listed name clear of those bytes, so name lists cut at that
-      // width compare equal between runs.
-      std::string N(I.param.Name);
-      if (N.size() < 12)
-        N.resize(12, '_');
-      return N;
+      return std::string(I.param.Name);
     });

@@ -1,16 +1,15 @@
-//===- tests/test_heapspans.cpp - Span backend + generational edges -------===//
+//===- tests/test_heapspans.cpp - Span heap + generational edges ----------===//
 //
 // Part of jdrag test suite.
 //
-// Coverage for the page-span heap backend (docs/heap.md) and for
-// generational edge cases no other suite pins: the size-class bit-scan
-// boundaries, write-barrier liveness through a dying old container,
-// promotion exactly at PromoteAge, finalizer resurrection of a young
-// object across a minor collection, remembered-set storage release
-// after a major collection, and the occupancy dump. Every behavioral
-// test runs under both backends -- the legacy flat allocator is the
-// differential baseline the span backend must match decision for
-// decision.
+// Coverage for the page-span heap (docs/heap.md) and for generational
+// edge cases no other suite pins: the size-class bit-scan boundaries,
+// write-barrier liveness through a dying old container, promotion
+// exactly at PromoteAge, finalizer resurrection of a young object
+// across a minor collection, remembered-set storage release after a
+// major collection, and the occupancy dump. The handle sequence of a
+// fixed allocate/collect pattern is pinned by a golden digest in
+// test_interpfastpath.cpp (HotPathDifferential.HandleSequence).
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,14 +67,6 @@ Program nodeProgram(ClassId *NodeOut, FieldId *NextOut, FieldId *ValOut) {
   return P;
 }
 
-/// Runs \p Body once per backend, labeled for failure messages.
-template <typename Fn> void forBothBackends(Fn Body) {
-  for (bool Spans : {false, true}) {
-    SCOPED_TRACE(Spans ? "span backend" : "legacy backend");
-    Body(Spans);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Satellite: sizeClassOf bit-scan boundaries
 //===----------------------------------------------------------------------===//
@@ -110,42 +101,7 @@ TEST(SizeClasses, MatchesLinearReference) {
 }
 
 //===----------------------------------------------------------------------===//
-// Backend differential at the heap API level
-//===----------------------------------------------------------------------===//
-
-TEST(HeapSpans, HandleSequenceIdenticalAcrossBackends) {
-  // Handle assignment and recycling order is observable (it decides
-  // future sweep order), so both backends must produce the same index
-  // sequence for the same allocate/collect pattern.
-  ClassId Node;
-  FieldId Next, Val;
-  Program P = nodeProgram(&Node, &Next, &Val);
-  auto IndexTrace = [&](bool Spans) {
-    Heap H(P);
-    H.setSpanBackend(Spans);
-    PinnedRoots Roots;
-    H.addRootSource(&Roots);
-    std::vector<std::uint32_t> Trace;
-    for (int I = 0; I != 100; ++I) {
-      Handle A = H.allocateObject(Node);
-      Trace.push_back(A.Index);
-      if (I % 2 == 0)
-        Roots.Pins.push_back(A); // pin evens, drop odds
-    }
-    GCStats S = H.collect();
-    Trace.push_back(static_cast<std::uint32_t>(S.FreedObjects));
-    for (int I = 0; I != 80; ++I)
-      Trace.push_back(H.allocateArray(ArrayKind::Ref, I % 7).Index);
-    H.collect();
-    H.forEachLiveObject(
-        [&](Handle HL, const HeapObject &) { Trace.push_back(HL.Index); });
-    return Trace;
-  };
-  EXPECT_EQ(IndexTrace(false), IndexTrace(true));
-}
-
-//===----------------------------------------------------------------------===//
-// Generational edge cases (both backends)
+// Generational edge cases
 //===----------------------------------------------------------------------===//
 
 TEST(GenerationalEdge, ArrayStoreBarrierOutlivesDyingOldContainer) {
@@ -156,168 +112,156 @@ TEST(GenerationalEdge, ArrayStoreBarrierOutlivesDyingOldContainer) {
   ClassId Node;
   FieldId Next, Val;
   Program P = nodeProgram(&Node, &Next, &Val);
-  forBothBackends([&](bool Spans) {
-    Heap H(P);
-    H.setSpanBackend(Spans);
-    GenerationalConfig G;
-    G.Enabled = true;
-    G.PromoteAge = 1;
-    H.setGenerational(G);
-    PinnedRoots Roots;
-    H.addRootSource(&Roots);
+  Heap H(P);
+  GenerationalConfig G;
+  G.Enabled = true;
+  G.PromoteAge = 1;
+  H.setGenerational(G);
+  PinnedRoots Roots;
+  H.addRootSource(&Roots);
 
-    Handle Arr = H.allocateArray(ArrayKind::Ref, 4);
-    Roots.Pins.push_back(Arr);
-    H.collectMinor(); // survivor at PromoteAge=1 -> old
-    ASSERT_TRUE(H.object(Arr).Old);
+  Handle Arr = H.allocateArray(ArrayKind::Ref, 4);
+  Roots.Pins.push_back(Arr);
+  H.collectMinor(); // survivor at PromoteAge=1 -> old
+  ASSERT_TRUE(H.object(Arr).Old);
 
-    // Young is an int array (arrays have no finalizers, so its death
-    // below is plain reclamation, not resurrection).
-    Handle Young = H.allocateArray(ArrayKind::Int, 3);
-    H.object(Young).Slots[1] = Value::makeInt(77);
-    // The AAStore sequence: store the ref, then the write barrier on
-    // the container (InterpreterLoop.inc does exactly this pair).
-    H.object(Arr).Slots[0] = Value::makeRef(Young);
-    H.writeBarrier(Arr);
-    EXPECT_EQ(H.rememberedSetSize(), 1u);
+  // Young is an int array (arrays have no finalizers, so its death
+  // below is plain reclamation, not resurrection).
+  Handle Young = H.allocateArray(ArrayKind::Int, 3);
+  H.object(Young).Slots[1] = Value::makeInt(77);
+  // The AAStore sequence: store the ref, then the write barrier on
+  // the container (InterpreterLoop.inc does exactly this pair).
+  H.object(Arr).Slots[0] = Value::makeRef(Young);
+  H.writeBarrier(Arr);
+  EXPECT_EQ(H.rememberedSetSize(), 1u);
 
-    Roots.Pins.clear(); // the old container is now unreachable too
-    GCStats Minor = H.collectMinor();
-    EXPECT_EQ(Minor.FreedObjects, 0u);
-    ASSERT_TRUE(H.isLive(Young));
-    EXPECT_EQ(H.object(Young).Slots[1].asInt(), 77);
+  Roots.Pins.clear(); // the old container is now unreachable too
+  GCStats Minor = H.collectMinor();
+  EXPECT_EQ(Minor.FreedObjects, 0u);
+  ASSERT_TRUE(H.isLive(Young));
+  EXPECT_EQ(H.object(Young).Slots[1].asInt(), 77);
 
-    // The major collection reclaims the dead old array, its remembered
-    // entry, and the young node (now unreachable from anywhere).
-    H.collect();
-    EXPECT_FALSE(H.isLive(Arr));
-    EXPECT_FALSE(H.isLive(Young));
-    EXPECT_EQ(H.rememberedSetSize(), 0u);
-  });
+  // The major collection reclaims the dead old array, its remembered
+  // entry, and the young node (now unreachable from anywhere).
+  H.collect();
+  EXPECT_FALSE(H.isLive(Arr));
+  EXPECT_FALSE(H.isLive(Young));
+  EXPECT_EQ(H.rememberedSetSize(), 0u);
 }
 
 TEST(GenerationalEdge, PromotionExactlyAtPromoteAge) {
   ClassId Node;
   FieldId Next, Val;
   Program P = nodeProgram(&Node, &Next, &Val);
-  forBothBackends([&](bool Spans) {
-    Heap H(P);
-    H.setSpanBackend(Spans);
-    GenerationalConfig G;
-    G.Enabled = true;
-    G.PromoteAge = 3;
-    H.setGenerational(G);
-    PinnedRoots Roots;
-    H.addRootSource(&Roots);
+  Heap H(P);
+  GenerationalConfig G;
+  G.Enabled = true;
+  G.PromoteAge = 3;
+  H.setGenerational(G);
+  PinnedRoots Roots;
+  H.addRootSource(&Roots);
 
-    Handle A = H.allocateObject(Node);
-    Roots.Pins.push_back(A);
-    H.object(A).Slots[P.fieldOf(Val).Slot] = Value::makeInt(1234);
+  Handle A = H.allocateObject(Node);
+  Roots.Pins.push_back(A);
+  H.object(A).Slots[P.fieldOf(Val).Slot] = Value::makeInt(1234);
 
-    // Ages 1 and 2: still young.
-    H.collectMinor();
-    EXPECT_FALSE(H.object(A).Old);
-    EXPECT_EQ(H.object(A).Age, 1u);
-    H.collectMinor();
-    EXPECT_FALSE(H.object(A).Old);
-    EXPECT_EQ(H.object(A).Age, 2u);
-    // Age 3 == PromoteAge: promoted on exactly this cycle. Under the
-    // span backend the record physically moves to an old span; the
-    // handle and payload must come through intact.
-    H.collectMinor();
-    EXPECT_TRUE(H.object(A).Old);
-    EXPECT_EQ(H.object(A).Slots[P.fieldOf(Val).Slot].asInt(), 1234);
-    EXPECT_TRUE(H.isLive(A));
-    // A freshly promoted object is NOT in the remembered set until a
-    // write barrier fires.
-    EXPECT_EQ(H.rememberedSetSize(), 0u);
-  });
+  // Ages 1 and 2: still young.
+  H.collectMinor();
+  EXPECT_FALSE(H.object(A).Old);
+  EXPECT_EQ(H.object(A).Age, 1u);
+  H.collectMinor();
+  EXPECT_FALSE(H.object(A).Old);
+  EXPECT_EQ(H.object(A).Age, 2u);
+  // Age 3 == PromoteAge: promoted on exactly this cycle. The record
+  // physically moves to an old span; the handle and payload must come
+  // through intact.
+  H.collectMinor();
+  EXPECT_TRUE(H.object(A).Old);
+  EXPECT_EQ(H.object(A).Slots[P.fieldOf(Val).Slot].asInt(), 1234);
+  EXPECT_TRUE(H.isLive(A));
+  // A freshly promoted object is NOT in the remembered set until a
+  // write barrier fires.
+  EXPECT_EQ(H.rememberedSetSize(), 0u);
 }
 
 TEST(GenerationalEdge, FinalizerResurrectionOfYoungAcrossMinor) {
   ClassId Node;
   FieldId Next, Val;
   Program P = nodeProgram(&Node, &Next, &Val);
-  forBothBackends([&](bool Spans) {
-    Heap H(P);
-    H.setSpanBackend(Spans);
-    GenerationalConfig G;
-    G.Enabled = true;
-    G.PromoteAge = 10; // keep promotion out of the way
-    H.setGenerational(G);
-    PinnedRoots Roots;
-    H.addRootSource(&Roots);
+  Heap H(P);
+  GenerationalConfig G;
+  G.Enabled = true;
+  G.PromoteAge = 10; // keep promotion out of the way
+  H.setGenerational(G);
+  PinnedRoots Roots;
+  H.addRootSource(&Roots);
 
-    Handle F = H.allocateObject(Node); // Node has a finalize() method
-    // Unreachable from the start: the minor collection must resurrect
-    // it onto the pending queue instead of freeing it.
-    GCStats First = H.collectMinor();
-    EXPECT_EQ(First.FreedObjects, 0u);
-    EXPECT_EQ(First.NewlyFinalizable, 1u);
-    ASSERT_TRUE(H.isLive(F));
-    EXPECT_TRUE(H.object(F).PendingFinalize);
-    ASSERT_EQ(H.pendingFinalizers().size(), 1u);
-    EXPECT_EQ(H.pendingFinalizers()[0].Index, F.Index);
+  Handle F = H.allocateObject(Node); // Node has a finalize() method
+  // Unreachable from the start: the minor collection must resurrect
+  // it onto the pending queue instead of freeing it.
+  GCStats First = H.collectMinor();
+  EXPECT_EQ(First.FreedObjects, 0u);
+  EXPECT_EQ(First.NewlyFinalizable, 1u);
+  ASSERT_TRUE(H.isLive(F));
+  EXPECT_TRUE(H.object(F).PendingFinalize);
+  ASSERT_EQ(H.pendingFinalizers().size(), 1u);
+  EXPECT_EQ(H.pendingFinalizers()[0].Index, F.Index);
 
-    // While queued (finalizer "running"), another minor keeps it alive.
-    GCStats Second = H.collectMinor();
-    EXPECT_EQ(Second.FreedObjects, 0u);
-    ASSERT_TRUE(H.isLive(F));
+  // While queued (finalizer "running"), another minor keeps it alive.
+  GCStats Second = H.collectMinor();
+  EXPECT_EQ(Second.FreedObjects, 0u);
+  ASSERT_TRUE(H.isLive(F));
 
-    // Finalizer done: the next minor reclaims it for good.
-    H.finishFinalization();
-    GCStats Third = H.collectMinor();
-    EXPECT_EQ(Third.FreedObjects, 1u);
-    EXPECT_FALSE(H.isLive(F));
-  });
+  // Finalizer done: the next minor reclaims it for good.
+  H.finishFinalization();
+  GCStats Third = H.collectMinor();
+  EXPECT_EQ(Third.FreedObjects, 1u);
+  EXPECT_FALSE(H.isLive(F));
 }
 
 //===----------------------------------------------------------------------===//
 // Satellite: remembered-set storage release after a major collection
 //===----------------------------------------------------------------------===//
 
-TEST(RememberedSet, StorageShrinksAfterMajorCollect) {
+TEST(GenerationalEdge, RememberedStorageShrinksAfterMajorCollect) {
   ClassId Node;
   FieldId Next, Val;
   Program P = nodeProgram(&Node, &Next, &Val);
-  forBothBackends([&](bool Spans) {
-    Heap H(P);
-    H.setSpanBackend(Spans);
-    GenerationalConfig G;
-    G.Enabled = true;
-    G.PromoteAge = 1;
-    G.MajorEveryNMinors = 0;
-    H.setGenerational(G);
-    PinnedRoots Roots;
-    H.addRootSource(&Roots);
+  Heap H(P);
+  GenerationalConfig G;
+  G.Enabled = true;
+  G.PromoteAge = 1;
+  G.MajorEveryNMinors = 0;
+  H.setGenerational(G);
+  PinnedRoots Roots;
+  H.addRootSource(&Roots);
 
-    // Promote a burst of containers (finalizer-free ref arrays) and
-    // remember all of them.
-    std::vector<Handle> Olds;
-    for (int I = 0; I != 4000; ++I) {
-      Handle A = H.allocateArray(ArrayKind::Ref, 1);
-      Roots.Pins.push_back(A);
-      Olds.push_back(A);
-    }
-    H.collectMinor();
-    for (Handle A : Olds) {
-      ASSERT_TRUE(H.object(A).Old);
-      H.writeBarrier(A);
-    }
-    EXPECT_EQ(H.rememberedSetSize(), 4000u);
-    std::size_t PeakCapacity = H.occupancy().RememberedCapacity;
-    EXPECT_GE(PeakCapacity, 4000u);
+  // Promote a burst of containers (finalizer-free ref arrays) and
+  // remember all of them.
+  std::vector<Handle> Olds;
+  for (int I = 0; I != 4000; ++I) {
+    Handle A = H.allocateArray(ArrayKind::Ref, 1);
+    Roots.Pins.push_back(A);
+    Olds.push_back(A);
+  }
+  H.collectMinor();
+  for (Handle A : Olds) {
+    ASSERT_TRUE(H.object(A).Old);
+    H.writeBarrier(A);
+  }
+  EXPECT_EQ(H.rememberedSetSize(), 4000u);
+  std::size_t PeakCapacity = H.occupancy().RememberedCapacity;
+  EXPECT_GE(PeakCapacity, 4000u);
 
-    // The burst dies; the major collection empties the set AND gives
-    // its storage back (legacy: bucket rebuild; spans: empty old spans
-    // parked, shrinking the card-scan set).
-    Roots.Pins.clear();
-    H.collect();
-    EXPECT_EQ(H.rememberedSetSize(), 0u);
-    std::size_t After = H.occupancy().RememberedCapacity;
-    EXPECT_LT(After, PeakCapacity / 4)
-        << "remembered storage stayed pinned at its peak";
-  });
+  // The burst dies; the major collection empties the set AND gives
+  // its storage back (empty old spans parked, shrinking the card-scan
+  // set).
+  Roots.Pins.clear();
+  H.collect();
+  EXPECT_EQ(H.rememberedSetSize(), 0u);
+  std::size_t After = H.occupancy().RememberedCapacity;
+  EXPECT_LT(After, PeakCapacity / 4)
+      << "remembered storage stayed pinned at its peak";
 }
 
 //===----------------------------------------------------------------------===//
@@ -329,7 +273,6 @@ TEST(HeapOccupancyDump, ReportsSpansAndPools) {
   FieldId Next, Val;
   Program P = nodeProgram(&Node, &Next, &Val);
   Heap H(P);
-  H.setSpanBackend(true);
   GenerationalConfig G;
   G.Enabled = true;
   G.PromoteAge = 1;
@@ -343,7 +286,6 @@ TEST(HeapOccupancyDump, ReportsSpansAndPools) {
     H.allocateArray(ArrayKind::Int, 100); // young garbage
 
   HeapOccupancy O = H.occupancy();
-  EXPECT_TRUE(O.SpanBackend);
   EXPECT_GT(O.YoungSpans, 0u);
   EXPECT_GT(O.RecordsPerSpan, 0u);
   EXPECT_EQ(O.SpanBytes % (4 * KB), 0u) << "spans must be whole pages";
@@ -364,27 +306,6 @@ TEST(HeapOccupancyDump, ReportsSpansAndPools) {
   O = H.occupancy();
   EXPECT_GT(O.PooledSpans, 0u);
   EXPECT_EQ(O.YoungSpans + O.OldSpans, 0u);
-}
-
-TEST(HeapOccupancyDump, LegacyBackendReportsFreeLists) {
-  ClassId Node;
-  FieldId Next, Val;
-  Program P = nodeProgram(&Node, &Next, &Val);
-  Heap H(P);
-  H.setSpanBackend(false);
-  H.setFastPathAlloc(true);
-  PinnedRoots Roots;
-  H.addRootSource(&Roots);
-  for (int I = 0; I != 20; ++I)
-    H.allocateArray(ArrayKind::Int, 8); // all garbage, no finalizers
-  H.collect();
-  HeapOccupancy O = H.occupancy();
-  EXPECT_FALSE(O.SpanBackend);
-  ASSERT_FALSE(O.Rows.empty());
-  std::size_t Free = 0;
-  for (const HeapOccupancyRow &R : O.Rows)
-    Free += R.FreeRecords;
-  EXPECT_EQ(Free, 20u);
 }
 
 } // namespace

@@ -1,17 +1,18 @@
-//===- tests/test_interpfastpath.cpp - Hot-path bit-identity tests --------===//
+//===- tests/test_interpfastpath.cpp - VM hot-path golden digests ---------===//
 //
 // Part of jdrag test suite.
 //
-// The VM hot path has four independently-switchable layers
-// (docs/vm-hotpath.md): threaded vs switch dispatch, the per-pc site-id
-// inline caches, the size-class allocation fast path, and the page-span
-// heap backend (docs/heap.md). All are required to be
-// *behavior-neutral*: for every program, every combination must produce
-// byte-identical `.jdev` event streams, the same outputs, the same step
-// counts and field-identical profile logs as the all-off baseline. This
-// suite is that differential check, over the nine paper workloads and
-// over synthetic programs that poke the boundaries the fast paths must
-// not blur (finalizers, caught OOM, generational scheduling, uncaught
+// The VM's observable output -- run status, outputs, step counts, the
+// `.jdev` event stream and its v6-compressed form, the live profiler's
+// serialized log and the heap's handle sequence -- pinned against the
+// committed digests in tests/data/golden/vm_hotpath.txt. The digests
+// were produced by, and checked against, all 16 combinations of the
+// hot-path alternatives the VM once carried (switch/threaded dispatch,
+// site inline cache, allocation fast path, flat/span heap; see
+// docs/vm-hotpath.md), so they hold each identity those alternatives
+// proved. Cases cover the nine paper workloads (exact and sampled) and
+// synthetic programs that poke the boundaries the fast paths must not
+// blur (finalizers, caught OOM, generational scheduling, uncaught
 // exceptions).
 //
 //===----------------------------------------------------------------------===//
@@ -19,15 +20,16 @@
 #include "benchmarks/Benchmarks.h"
 #include "profiler/DragProfiler.h"
 #include "profiler/EventStream.h"
-#include "vm/Events.h"
 #include "vm/VirtualMachine.h"
 
 #include "VMTestUtils.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -39,39 +41,6 @@ using namespace jdrag::testutil;
 
 namespace {
 
-/// One point in the hot-path configuration space.
-struct Combo {
-  DispatchMode Dispatch;
-  bool SiteCache;
-  bool FastAlloc;
-  bool Spans;
-};
-
-/// The all-off corner reproduces the pre-optimization interpreter over
-/// the legacy flat heap backend.
-constexpr Combo Baseline = {DispatchMode::Switch, false, false, false};
-
-/// The full dispatch x cache x fastalloc x heap-backend cross product.
-std::vector<Combo> allCombos() {
-  std::vector<Combo> Cs;
-  for (DispatchMode D : {DispatchMode::Switch, DispatchMode::Threaded})
-    for (bool Cache : {false, true})
-      for (bool Fast : {false, true})
-        for (bool Spans : {false, true})
-          Cs.push_back({D, Cache, Fast, Spans});
-  return Cs;
-}
-
-const std::vector<Combo> AllCombos = allCombos();
-
-std::string describe(const Combo &C) {
-  std::string S = C.Dispatch == DispatchMode::Threaded ? "threaded" : "switch";
-  S += C.SiteCache ? "+cache" : "-cache";
-  S += C.FastAlloc ? "+fastalloc" : "-fastalloc";
-  S += C.Spans ? "+spans" : "-spans";
-  return S;
-}
-
 /// Everything observable from one recorded run.
 struct StreamRun {
   Interpreter::Status Status = Interpreter::Status::Ok;
@@ -81,13 +50,9 @@ struct StreamRun {
 };
 
 StreamRun record(const Program &P, const std::vector<std::int64_t> &In,
-                 VMOptions Opts, const Combo &C) {
+                 VMOptions Opts) {
   profiler::MemorySink Sink;
   Opts.Sink = &Sink;
-  Opts.Dispatch = C.Dispatch;
-  Opts.SiteInlineCache = C.SiteCache;
-  Opts.AllocFastPath = C.FastAlloc;
-  Opts.HeapSpans = C.Spans;
   VirtualMachine VM(P, Opts);
   VM.setInputs(In);
   StreamRun R;
@@ -98,62 +63,93 @@ StreamRun record(const Program &P, const std::vector<std::int64_t> &In,
   return R;
 }
 
-/// v6 differential leg: run the combo's framed stream through the
-/// ChunkCompressor and require every transformed frame to decompress
-/// back to the original payload, CRC preserved -- the "decompressed
-/// payloads are bit-identical to the uncompressed recording"
-/// guarantee, per workload, per combo.
-void expectCompressionRoundTrip(std::span<const std::byte> Stream,
-                                const std::string &Label) {
+/// v6 leg: runs the framed stream through the ChunkCompressor, requires
+/// every transformed frame to decompress back to the original payload
+/// with its CRC preserved -- the "decompressed payloads are bit-identical
+/// to the uncompressed recording" guarantee -- and returns the v6 frames
+/// (what a compressed `.jdev` holds after its file header).
+std::vector<std::byte> compressAndRoundTrip(std::span<const std::byte> Stream,
+                                            const std::string &Label) {
   profiler::ChunkCompressor Comp;
+  std::vector<std::byte> Wire;
   std::vector<std::uint8_t> Inflate;
   std::size_t Off = 0;
   while (Off < Stream.size()) {
     profiler::ChunkHeader H;
-    ASSERT_LE(Off + sizeof(H), Stream.size()) << Label;
+    if (Off + sizeof(H) > Stream.size()) {
+      ADD_FAILURE() << Label << ": truncated frame header at " << Off;
+      break;
+    }
     std::memcpy(&H, Stream.data() + Off, sizeof(H));
     bool Footer = H.Magic == profiler::FooterMagic;
     std::size_t Frame = sizeof(H) + H.PayloadBytes + (Footer ? 8 : 0);
-    ASSERT_LE(Off + Frame, Stream.size()) << Label;
+    if (Off + Frame > Stream.size()) {
+      ADD_FAILURE() << Label << ": truncated frame at " << Off;
+      break;
+    }
     std::span<const std::byte> T = Comp.transform(Stream.data() + Off, Frame);
-    ASSERT_FALSE(T.empty()) << Label << ": compressor rejected frame at "
-                            << Off;
+    if (T.size() < sizeof(H)) {
+      ADD_FAILURE() << Label << ": compressor rejected frame at " << Off;
+      break;
+    }
+    Wire.insert(Wire.end(), T.begin(), T.end());
     profiler::ChunkHeader W;
-    ASSERT_GE(T.size(), sizeof(W)) << Label;
     std::memcpy(&W, T.data(), sizeof(W));
     EXPECT_EQ(W.Seq, H.Seq) << Label;
     std::span<const std::byte> Body;
-    ASSERT_TRUE(
-        profiler::chunkPayloadBytes(W, T.data() + sizeof(W), Inflate, Body))
-        << Label << ": frame at " << Off << " does not decompress";
-    if (!Footer) {
+    bool Inflated =
+        profiler::chunkPayloadBytes(W, T.data() + sizeof(W), Inflate, Body);
+    EXPECT_TRUE(Inflated) << Label << ": frame at " << Off
+                          << " does not decompress";
+    if (Inflated && !Footer) {
       EXPECT_EQ(W.Crc, H.Crc) << Label << ": CRC no longer covers the "
                               << "uncompressed payload";
-      ASSERT_EQ(Body.size(), H.PayloadBytes) << Label;
-      EXPECT_TRUE(std::memcmp(Body.data(), Stream.data() + Off + sizeof(H),
+      EXPECT_TRUE(Body.size() == H.PayloadBytes &&
+                  std::memcmp(Body.data(), Stream.data() + Off + sizeof(H),
                               Body.size()) == 0)
           << Label << ": decompressed payload diverged at frame " << Off;
     }
     Off += Frame;
   }
+  return Wire;
 }
 
-/// Runs every combo and asserts each matches the baseline bit for bit.
-void expectAllCombosIdentical(const Program &P,
-                              const std::vector<std::int64_t> &In,
-                              VMOptions Opts, const std::string &Label) {
-  StreamRun Ref = record(P, In, Opts, Baseline);
-  EXPECT_FALSE(Ref.Bytes.empty()) << Label;
-  for (const Combo &C : AllCombos) {
-    StreamRun R = record(P, In, Opts, C);
-    EXPECT_EQ(R.Status, Ref.Status) << Label << " " << describe(C);
-    EXPECT_EQ(R.Outputs, Ref.Outputs) << Label << " " << describe(C);
-    EXPECT_EQ(R.Steps, Ref.Steps) << Label << " " << describe(C);
-    EXPECT_TRUE(R.Bytes == Ref.Bytes)
-        << Label << " " << describe(C) << ": .jdev stream diverged ("
-        << R.Bytes.size() << " vs " << Ref.Bytes.size() << " bytes)";
-    expectCompressionRoundTrip(R.Bytes, Label + " " + describe(C));
+/// The committed digests every case is asserted against
+/// (tests/data/golden/vm_hotpath.txt).
+const std::map<std::string, std::string> &golden() {
+  static const std::map<std::string, std::string> G = readGoldenFile(
+      std::string(JDRAG_TEST_DATA_DIR) + "/golden/vm_hotpath.txt");
+  return G;
+}
+
+/// Asserts one case line against its golden; a mismatch prints the
+/// actual line.
+void expectGolden(const std::string &Line) {
+  std::string Case = Line.substr(0, Line.find(' '));
+  auto It = golden().find(Case);
+  if (It == golden().end()) {
+    ADD_FAILURE() << "no golden line for " << Case << "; actual:\n" << Line;
+    return;
   }
+  EXPECT_EQ(Line, It->second) << "golden mismatch; actual:\n" << Line;
+}
+
+/// The golden line of one recorded run: status, step count, and length
+/// + FNV-1a-64 of the outputs, of the `.jdev` stream and of its v6 form.
+std::string goldenLine(const std::string &Case, const StreamRun &R) {
+  std::string S = statusName(R.Status);
+  std::replace(S.begin(), S.end(), ' ', '-');
+  std::string L = Case + " status=" + S + " steps=" + std::to_string(R.Steps);
+  L += " outputs=" + lengthAndDigest(std::as_bytes(std::span(R.Outputs)));
+  L += " jdev=" + lengthAndDigest(R.Bytes);
+  L += " v6=" + lengthAndDigest(compressAndRoundTrip(R.Bytes, Case));
+  return L;
+}
+
+/// Records one run and asserts it against the case's golden line.
+void expectRunGolden(const Program &P, const std::vector<std::int64_t> &In,
+                     VMOptions Opts, const std::string &Case) {
+  expectGolden(goldenLine(Case, record(P, In, Opts)));
 }
 
 /// Alloc/use churn with a finalizable class: every deep GC runs
@@ -252,40 +248,38 @@ TEST(HotPathDifferential, PaperWorkloads) {
   for (const benchmarks::BenchmarkProgram &B : benchmarks::buildAll()) {
     VMOptions Opts;
     Opts.DeepGCIntervalBytes = 100 * KB;
-    expectAllCombosIdentical(B.Prog, B.DefaultInputs, Opts, B.Name);
+    expectRunGolden(B.Prog, B.DefaultInputs, Opts,
+                    "paper/" + B.Name + "/exact");
   }
 }
 
 /// `--sample-bytes 0` is the exact mode, not a third pipeline: an
 /// explicit zero must leave every stream byte identical to a VM that
-/// never heard of sampling, across the whole hot-path matrix.
+/// never heard of sampling.
 TEST(HotPathDifferential, SampleBytesZeroIsExactMode) {
   for (const benchmarks::BenchmarkProgram &B : benchmarks::buildAll()) {
     VMOptions Plain;
     Plain.DeepGCIntervalBytes = 100 * KB;
-    StreamRun Ref = record(B.Prog, B.DefaultInputs, Plain, Baseline);
+    StreamRun Ref = record(B.Prog, B.DefaultInputs, Plain);
     VMOptions Zero = Plain;
     Zero.SampleBytes = 0;
     Zero.SampleSeed = 12345; // seed must be inert when sampling is off
-    for (const Combo &C : AllCombos) {
-      StreamRun R = record(B.Prog, B.DefaultInputs, Zero, C);
-      EXPECT_TRUE(R.Bytes == Ref.Bytes)
-          << B.Name << " " << describe(C)
-          << ": --sample-bytes 0 stream diverged from exact";
-    }
+    StreamRun R = record(B.Prog, B.DefaultInputs, Zero);
+    EXPECT_TRUE(R.Bytes == Ref.Bytes)
+        << B.Name << ": --sample-bytes 0 stream diverged from exact";
+    expectGolden(goldenLine("paper/" + B.Name + "/exact", R));
   }
 }
 
 /// Sampling draws from a PRNG advanced once per allocation, so the
-/// sampled stream is a pure function of the allocation sequence -- the
-/// hot-path layers must not perturb it either.
+/// sampled stream is a pure function of the allocation sequence.
 TEST(HotPathDifferential, SampledStreamComboInvariant) {
   for (const benchmarks::BenchmarkProgram &B : benchmarks::buildAll()) {
     VMOptions Opts;
     Opts.DeepGCIntervalBytes = 100 * KB;
     Opts.SampleBytes = 64 * KB;
-    expectAllCombosIdentical(B.Prog, B.DefaultInputs, Opts,
-                             B.Name + "+sampled");
+    expectRunGolden(B.Prog, B.DefaultInputs, Opts,
+                    "paper/" + B.Name + "/sampled64k");
   }
 }
 
@@ -293,14 +287,14 @@ TEST(HotPathDifferential, FinalizerChurn) {
   Program P = buildFinalizerChurn();
   VMOptions Opts;
   Opts.DeepGCIntervalBytes = 16 * KB; // frequent deep GCs + finalizers
-  expectAllCombosIdentical(P, {400}, Opts, "finalizer-churn");
+  expectRunGolden(P, {400}, Opts, "finalizer-churn");
 }
 
 TEST(HotPathDifferential, CaughtOOMAtLiveByteBudget) {
   Program P = buildCaughtOOM();
   VMOptions Opts;
   Opts.MaxLiveBytes = 64 * KB;
-  expectAllCombosIdentical(P, {}, Opts, "caught-oom");
+  expectRunGolden(P, {}, Opts, "caught-oom");
 }
 
 TEST(HotPathDifferential, GenerationalScheduledGC) {
@@ -308,90 +302,84 @@ TEST(HotPathDifferential, GenerationalScheduledGC) {
   VMOptions Opts;
   Opts.Generational.Enabled = true;
   Opts.Generational.NurseryBytes = 8 * KB; // frequent minor GCs
-  expectAllCombosIdentical(P, {300}, Opts, "generational-churn");
+  expectRunGolden(P, {300}, Opts, "generational-churn");
 }
 
 TEST(HotPathDifferential, UncaughtThrow) {
   Program P = buildUncaughtThrow();
-  StreamRun Ref = record(P, {}, VMOptions(), Baseline);
-  EXPECT_EQ(Ref.Status, Interpreter::Status::UncaughtException);
-  for (const Combo &C : AllCombos) {
-    StreamRun R = record(P, {}, VMOptions(), C);
-    EXPECT_EQ(R.Status, Ref.Status) << describe(C);
-    EXPECT_EQ(R.Steps, Ref.Steps) << describe(C);
-    EXPECT_TRUE(R.Bytes == Ref.Bytes) << describe(C);
-  }
+  StreamRun R = record(P, {}, VMOptions());
+  EXPECT_EQ(R.Status, Interpreter::Status::UncaughtException);
+  expectGolden(goldenLine("uncaught-throw", R));
 }
 
 /// The live-profiling path (DragProfiler's dispatch sink consuming the
-/// stream as it is produced) must end in field-identical logs; the
-/// serialized form is the strongest equality available.
+/// stream as it is produced) is pinned by its serialized log, the
+/// strongest equality available.
 TEST(HotPathDifferential, ProfileLogIdentical) {
   Program P = buildFinalizerChurn();
-  auto LogBytesFor = [&](const Combo &C) {
-    profiler::DragProfiler Prof(P);
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 16 * KB;
-    Prof.attachTo(Opts);
-    Opts.Dispatch = C.Dispatch;
-    Opts.SiteInlineCache = C.SiteCache;
-    Opts.AllocFastPath = C.FastAlloc;
-    Opts.HeapSpans = C.Spans;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({200});
-    EXPECT_EQ(VM.run(), Interpreter::Status::Ok);
-    std::string Path = "/tmp/jdrag_fastpath_log.bin";
-    EXPECT_TRUE(Prof.log().writeFile(Path));
-    std::ifstream In(Path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(In),
-                             std::istreambuf_iterator<char>());
-  };
-  std::vector<char> Ref = LogBytesFor(Baseline);
-  ASSERT_FALSE(Ref.empty());
-  for (const Combo &C : AllCombos)
-    EXPECT_TRUE(LogBytesFor(C) == Ref) << describe(C);
+  profiler::DragProfiler Prof(P);
+  VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 16 * KB;
+  Prof.attachTo(Opts);
+  VirtualMachine VM(P, Opts);
+  VM.setInputs({200});
+  EXPECT_EQ(VM.run(), Interpreter::Status::Ok);
+  std::string Path = "/tmp/jdrag_fastpath_log.bin";
+  ASSERT_TRUE(Prof.log().writeFile(Path));
+  std::ifstream In(Path, std::ios::binary);
+  std::vector<char> Log((std::istreambuf_iterator<char>(In)),
+                        std::istreambuf_iterator<char>());
+  expectGolden("profilelog/finalizer-churn bytes=" +
+               lengthAndDigest(std::as_bytes(std::span(Log))));
 }
 
-/// The interpreter mirrors the heap's byte clock (refreshed only at
-/// allocation and GC boundaries) instead of reloading it per event; the
-/// observer-visible timestamps must be exactly the heap-clock values
-/// the uncached interpreter reports.
-TEST(HotPathDifferential, CachedClockTimestampsExact) {
-  class TimeLog : public VMObserver {
+/// Handle assignment and recycling order is observable (it decides
+/// future sweep order); pin the index sequence of a fixed
+/// allocate/collect pattern at the heap API level.
+TEST(HotPathDifferential, HandleSequence) {
+  TestProgramBuilder T;
+  ClassBuilder NodeC = T.PB.beginClass("Node", T.PB.objectClass());
+  NodeC.addField("next", ValueKind::Ref);
+  NodeC.addField("val", ValueKind::Int);
+  MethodBuilder Fin = NodeC.beginMethod("finalize", {}, ValueKind::Void);
+  Fin.ret();
+  Fin.finish();
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  M.ret();
+  M.finish();
+  T.PB.setMain(M.id());
+  Program P = T.finishVerified();
+  ClassId Node = P.findClass("Node");
+
+  class PinnedRoots : public RootSource {
   public:
-    std::vector<std::uint64_t> Times;
-    void onAllocate(ObjectId, Handle, const HeapObject &,
-                    std::span<const CallFrameRef>, ByteTime Now) override {
-      Times.push_back(Now);
+    std::vector<Handle> Pins;
+    void visitRoots(HandleVisitor Visit) override {
+      for (Handle H : Pins)
+        Visit(H);
     }
-    void onUse(ObjectId, UseKind, std::span<const CallFrameRef>, bool,
-               ByteTime Now) override {
-      Times.push_back(Now);
-    }
-    void onDeepGCEnd(ByteTime Now) override { Times.push_back(Now); }
   };
-  Program P = buildFinalizerChurn();
-  auto TimesFor = [&](const Combo &C) {
-    TimeLog Obs;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 16 * KB;
-    Opts.Observer = &Obs;
-    Opts.Dispatch = C.Dispatch;
-    Opts.SiteInlineCache = C.SiteCache;
-    Opts.AllocFastPath = C.FastAlloc;
-    Opts.HeapSpans = C.Spans;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({300});
-    EXPECT_EQ(VM.run(), Interpreter::Status::Ok);
-    return Obs.Times;
-  };
-  std::vector<std::uint64_t> Ref = TimesFor(Baseline);
-  ASSERT_FALSE(Ref.empty());
-  for (const Combo &C : AllCombos) {
-    std::vector<std::uint64_t> T = TimesFor(C);
-    EXPECT_TRUE(T == Ref) << describe(C) << ": " << T.size() << " vs "
-                          << Ref.size() << " timestamps";
+  Heap H(P);
+  PinnedRoots Roots;
+  H.addRootSource(&Roots);
+  std::vector<std::uint32_t> Trace;
+  for (int I = 0; I != 100; ++I) {
+    Handle A = H.allocateObject(Node);
+    Trace.push_back(A.Index);
+    if (I % 2 == 0)
+      Roots.Pins.push_back(A); // pin evens, drop odds
   }
+  GCStats S = H.collect();
+  Trace.push_back(static_cast<std::uint32_t>(S.FreedObjects));
+  for (int I = 0; I != 80; ++I)
+    Trace.push_back(H.allocateArray(ArrayKind::Ref, I % 7).Index);
+  H.collect();
+  H.forEachLiveObject(
+      [&](Handle HL, const HeapObject &) { Trace.push_back(HL.Index); });
+  expectGolden("handles/sequence trace=" +
+               lengthAndDigest(std::as_bytes(std::span(Trace))));
+  H.removeRootSource(&Roots);
 }
 
 } // namespace
