@@ -400,30 +400,6 @@ void BM_CompressedRecordAsync(benchmark::State &State) {
 BENCHMARK(BM_SampledRecordAsync)->Args({10000, 0})->UseRealTime();
 BENCHMARK(BM_CompressedRecordAsync)->Args({10000, 0})->UseRealTime();
 
-/// The trailer-store ladder rung: the same profiled run with the
-/// hash-map trailer store instead of the paged dense array. The delta
-/// against BM_InterpreterProfiled is the hashing cost on the per-Use
-/// consumer hot path.
-void BM_InterpreterProfiledMap(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::ProfilerConfig PC;
-    PC.UseDenseTrailers = false;
-    profiler::DragProfiler Prof(P, PC);
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Prof.attachTo(Opts);
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Prof.log().Records.size());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterProfiledMap)->Arg(10000);
-
 /// Shared scaffolding for the GC benches: a program with a linked Node
 /// class, and a one-handle root pin.
 Program buildNodeGCProgram() {
@@ -944,7 +920,7 @@ void BM_Report(benchmark::State &State) {
         O.CurveSamples = 0;
       }
       analysis::StreamAnalysisResult R;
-      if (!analysis::analyzeEventStream(Path, P, O, R) || R.Materialized)
+      if (!analysis::analyzeEventStream(Path, P, O, R))
         std::abort();
       benchmark::DoNotOptimize(R.Report.get());
       Records = R.RecordsFolded;

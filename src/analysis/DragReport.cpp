@@ -63,7 +63,7 @@ SiteId SiteGroup::dominantLastUseSite() const {
 DragReport::DragReport(const ir::Program &P, const ProfileLog &Log)
     : P(P), TheLog(Log), End(Log.EndTime) {
   // One pass through Log.Records feeding the same fold the streaming
-  // engine runs off the decoder -- so `--materialize` really is a
+  // engine runs off the decoder -- so this reference really is a
   // bit-identity oracle, not a second implementation to keep in sync.
   // The site-table size hint presizes the group storage and the probe
   // index (a log's distinct alloc sites are a subset of its sites).

@@ -16,9 +16,11 @@
 /// With Jobs > 1 the pass shards across the recording's chunk index
 /// (profiler/ParallelReplay.h): each decode worker folds its records
 /// into shard-local partials, merged deterministically afterwards.
-/// Every result is bit-identical to the materialized pass -- ExactSum
-/// accumulators make floating-point summation order-free -- which the
-/// `--materialize` oracle path and the report_smoke byte-diff enforce.
+/// Every result is bit-identical to the materialized reference functions
+/// (DragReport(P, Log), decomposeLifetimes, buildHeapCurve, recordsCsv)
+/// over the same recording -- ExactSum accumulators make floating-point
+/// summation order-free -- which the golden report digests
+/// (tests/data/golden/reports.txt) enforce for all three producers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,23 +47,18 @@ struct StreamAnalysisOptions {
   bool WantReport = true;
   bool WantLifetimes = false;
   /// Grid size for the Figure 2 curves; 0 = no curve. Needs the stream
-  /// end time up front, peeked from the chunk-index footer (or a
-  /// one-pass index rebuild for footerless streams).
+  /// end time up front, taken from the chunk index (the footer, or a
+  /// one-pass rebuild for footerless streams).
   std::uint32_t CurveSamples = 0;
   /// Non-empty = stream the per-object CSV to this path as records fold.
   std::string ExportCsvPath;
-  /// Skip streaming entirely and run the materialized pipeline (replay
-  /// into ProfileLog::Records, analyze the vector). The CLI's
-  /// `--materialize` bit-identity oracle.
-  bool ForceMaterialize = false;
 };
 
 /// Everything the pass produced. Report (when requested) references
 /// *Shell, so keep the result object alive as long as the report.
 struct StreamAnalysisResult {
   /// The record-free log shell: sites, GC samples, end time, sampling
-  /// params, health. Records is empty unless the pass fell back to the
-  /// materialized path (Materialized below).
+  /// params, health. Records is empty.
   std::unique_ptr<profiler::ProfileLog> Shell;
   std::unique_ptr<DragReport> Report; ///< set when WantReport
   LifetimeDecomposition Lifetimes;    ///< set when WantLifetimes
@@ -73,23 +70,21 @@ struct StreamAnalysisResult {
   /// measurable (BENCH_9).
   std::size_t FoldStateBytes = 0;
   std::size_t PeakTrailers = 0;
-  bool Sharded = false;      ///< the sharded fold path actually ran
-  bool Materialized = false; ///< fell back to the materialized pass
+  bool Sharded = false; ///< the sharded fold path actually ran
 };
 
 /// Peeks the recording's end time (the Terminate event's byte-clock
-/// time) without replaying it: reads the chunk-index footer from the
-/// file tail, or rebuilds the index with one record-free pass for
-/// footerless streams. Footer claims are unverified -- callers that act
+/// time) without replaying it: the latest chunk time in the chunk index
+/// (ChunkReader::index). Footer claims are unverified -- callers that act
 /// on them must cross-check against the replay's observed end time.
 bool peekStreamEndTime(const std::string &Path, ByteTime &End);
 
 /// Runs the requested analyses in one streaming pass over the `.jdev`
-/// recording at \p Path. Falls back to the materialized pipeline (same
-/// results, O(records) memory) when streaming preconditions fail --
-/// e.g. no end time is peekable for a requested curve, or a footer's
-/// claimed end time disagrees with the decode. Returns false with
-/// \p Err on a malformed recording or export I/O failure.
+/// recording at \p Path. A requested curve takes its end time from the
+/// chunk index; when the decoded end time disagrees (a lying footer, or
+/// no readable index) the pass runs once more with the decoded one.
+/// Returns false with \p Err on a malformed recording or export I/O
+/// failure.
 bool analyzeEventStream(const std::string &Path, const ir::Program &P,
                         const StreamAnalysisOptions &O,
                         StreamAnalysisResult &Out, std::string *Err = nullptr);

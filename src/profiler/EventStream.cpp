@@ -7,10 +7,11 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <thread>
 
 #ifndef _WIN32
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -45,6 +46,10 @@ static_assert(std::size(EventKindNames) == NumEventKinds,
 
 // .jdev header: 8-byte StreamFileMagic, u32 version, u32 reserved.
 constexpr std::uint64_t StreamMagic = StreamFileMagic;
+
+/// Smallest footer block: a frame header, the u64 record total and the
+/// 8 tail bytes.
+constexpr std::size_t MinFooterBlock = sizeof(ChunkHeader) + 8 + 8;
 
 //===----------------------------------------------------------------------===//
 // v3 varint primitives
@@ -1088,6 +1093,40 @@ bool StreamDecoder::feed(const std::byte *Data, std::size_t Size) {
 // FrameDecoder (chunk layer)
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// FrameDecoder's wording of a checkChunk verdict on chunk \p Seq.
+std::string frameError(ChunkStatus S, const ChunkHeader &H, std::uint32_t Seq,
+                       std::span<const std::byte> Body) {
+  std::string Chunk = "corrupt event stream: chunk " + std::to_string(Seq);
+  switch (S) {
+  case ChunkStatus::BadMagic:
+    return "corrupt event stream: bad chunk magic at chunk " +
+           std::to_string(Seq);
+  case ChunkStatus::OversizedPayload:
+    return Chunk + " has implausible payload length " +
+           std::to_string(H.PayloadBytes);
+  case ChunkStatus::BadSequence:
+    return "corrupt event stream: chunk sequence jumped from " +
+           std::to_string(Seq) + " to " + std::to_string(H.Seq) +
+           " (dropped or reordered chunks)";
+  case ChunkStatus::BadCompression:
+    return Chunk + " has a malformed compressed payload";
+  case ChunkStatus::BadCrc:
+    return Chunk + " CRC mismatch (stored " + std::to_string(H.Crc) +
+           ", computed " +
+           std::to_string(support::crc32c(Body.data(), Body.size())) + ")";
+  case ChunkStatus::Ok:
+  case ChunkStatus::TruncatedHeader:
+  case ChunkStatus::TruncatedPayload:
+  case ChunkStatus::BadRecords:
+    break;
+  }
+  return Chunk + " is damaged";
+}
+
+} // namespace
+
 bool FrameDecoder::fail(std::string Msg) {
   Failed = true;
   if (Error.empty())
@@ -1113,8 +1152,11 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
   std::size_t Off = 0;
   while (Avail - Off >= sizeof(ChunkHeader)) {
     ChunkHeader H;
-    std::memcpy(&H, Cur + Off, sizeof(H));
-    if (chunkSelfContained(Format) && H.Magic == FooterMagic) {
+    std::span<const std::byte> Body;
+    ChunkStatus S = checkChunk({Cur + Off, Avail - Off}, NextSeq, Format, H,
+                               Inflate, Body);
+    if (S == ChunkStatus::BadMagic && chunkSelfContained(Format) &&
+        H.Magic == FooterMagic) {
       // Terminal chunk index footer: CRC-verify and swallow it -- its
       // contents are a seek index, not stream data.
       if (H.PayloadBytes > MaxChunkPayload)
@@ -1140,40 +1182,10 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
     if (FooterSeen)
       return fail("corrupt event stream: data after the chunk index "
                   "footer");
-    if (H.Magic != ChunkMagic)
-      return fail("corrupt event stream: bad chunk magic at chunk " +
-                  std::to_string(NextSeq));
-    // v6: bit 31 of the length field flags a compressed payload and the
-    // low bits are the on-wire byte count. In pre-v6 streams the raw
-    // field is the length, so a flagged frame fails the bound below --
-    // the intended clean refusal of old readers.
-    bool Compressed =
-        Format >= WireFormat::V6 && chunkCompressed(H.PayloadBytes);
-    std::uint32_t WireLen =
-        Compressed ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-    if (WireLen == 0 || WireLen > MaxChunkPayload)
-      return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
-                  " has implausible payload length " +
-                  std::to_string(H.PayloadBytes));
-    if (H.Seq != NextSeq)
-      return fail("corrupt event stream: chunk sequence jumped from " +
-                  std::to_string(NextSeq) + " to " + std::to_string(H.Seq) +
-                  " (dropped or reordered chunks)");
-    if (Avail - Off < sizeof(ChunkHeader) + WireLen)
+    if (S == ChunkStatus::TruncatedPayload)
       break; // partial payload: wait for more bytes
-    const std::byte *Payload = Cur + Off + sizeof(ChunkHeader);
-    // Decompress once, at chunk granularity, before the CRC: the CRC
-    // covers the *uncompressed* payload, so integrity semantics (and
-    // every salvage verdict built on them) are unchanged by v6.
-    std::span<const std::byte> Body(Payload, WireLen);
-    if (Compressed && !chunkPayloadBytes(H, Payload, Inflate, Body))
-      return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
-                  " has a malformed compressed payload");
-    std::uint32_t Crc = support::crc32c(Body.data(), Body.size());
-    if (Crc != H.Crc)
-      return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
-                  " CRC mismatch (stored " + std::to_string(H.Crc) +
-                  ", computed " + std::to_string(Crc) + ")");
+    if (S != ChunkStatus::Ok)
+      return fail(frameError(S, H, NextSeq, Body));
     if (chunkSelfContained(Format))
       Records.resetTimeBase(); // every v4+ chunk is self-contained
     if (!Records.feed(Body.data(), Body.size())) {
@@ -1186,7 +1198,7 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
                   std::to_string(NextSeq));
     ++Chunks;
     ++NextSeq;
-    Off += sizeof(ChunkHeader) + WireLen;
+    Off += sizeof(ChunkHeader) + frameWireBytes(H, Format);
   }
 
   if (!Pending.empty()) {
@@ -1237,13 +1249,13 @@ std::vector<std::byte> jdrag::profiler::encodeChunkIndexFooter(
 
 std::size_t
 jdrag::profiler::footerBlockSize(std::span<const std::byte> Stream) {
-  constexpr std::size_t MinBlock = sizeof(ChunkHeader) + 8 + 8;
-  if (Stream.size() < MinBlock)
+  if (Stream.size() < MinFooterBlock)
     return 0;
   std::uint32_t Bytes = 0, Tail = 0;
   std::memcpy(&Bytes, Stream.data() + Stream.size() - 8, 4);
   std::memcpy(&Tail, Stream.data() + Stream.size() - 4, 4);
-  if (Tail != FooterTailMagic || Bytes < MinBlock || Bytes > Stream.size())
+  if (Tail != FooterTailMagic || Bytes < MinFooterBlock ||
+      Bytes > Stream.size())
     return 0;
   ChunkHeader H;
   std::memcpy(&H, Stream.data() + (Stream.size() - Bytes), sizeof(H));
@@ -1327,162 +1339,414 @@ bool jdrag::profiler::readChunkIndexFooter(std::span<const std::byte> Stream,
   return true;
 }
 
-bool jdrag::profiler::peekChunkIndexFooterTail(std::span<const std::byte> Tail,
-                                               ChunkIndex &Out) {
-  // footerBlockSize only looks at the last `Bytes` bytes, so running it
-  // on a suffix is sound; what a suffix cannot support is the tiling
-  // check against the footer's absolute start, which is why this is a
-  // "peek" -- the entries are verified internally consistent, not
-  // consistent with the data region.
-  std::size_t Bytes = footerBlockSize(Tail);
-  if (!Bytes)
-    return false;
+//===----------------------------------------------------------------------===//
+// Chunk reader
+//===----------------------------------------------------------------------===//
+
+const char *jdrag::profiler::chunkStatusName(ChunkStatus S) {
+  switch (S) {
+  case ChunkStatus::Ok:
+    return "ok";
+  case ChunkStatus::TruncatedHeader:
+    return "truncated-header";
+  case ChunkStatus::TruncatedPayload:
+    return "truncated-payload";
+  case ChunkStatus::BadMagic:
+    return "bad-magic";
+  case ChunkStatus::BadSequence:
+    return "bad-sequence";
+  case ChunkStatus::OversizedPayload:
+    return "oversized-payload";
+  case ChunkStatus::BadCrc:
+    return "crc-mismatch";
+  case ChunkStatus::BadRecords:
+    return "bad-records";
+  case ChunkStatus::BadCompression:
+    return "bad-compression";
+  }
+  return "?";
+}
+
+ChunkStatus jdrag::profiler::checkChunk(std::span<const std::byte> Frame,
+                                        std::optional<std::uint32_t> ExpectSeq,
+                                        WireFormat F, ChunkHeader &H,
+                                        std::vector<std::uint8_t> &Inflate,
+                                        std::span<const std::byte> &Body) {
+  if (Frame.size() < sizeof(ChunkHeader))
+    return ChunkStatus::TruncatedHeader;
+  std::memcpy(&H, Frame.data(), sizeof(H));
+  if (H.Magic != ChunkMagic)
+    return ChunkStatus::BadMagic;
+  std::uint32_t WireLen = frameWireBytes(H, F);
+  if (WireLen == 0 || WireLen > MaxChunkPayload)
+    return ChunkStatus::OversizedPayload;
+  if (ExpectSeq && H.Seq != *ExpectSeq)
+    return ChunkStatus::BadSequence;
+  if (Frame.size() - sizeof(ChunkHeader) < WireLen)
+    return ChunkStatus::TruncatedPayload;
+  // Decompress once, at chunk granularity, before the CRC: the CRC
+  // covers the *uncompressed* payload, so integrity semantics (and every
+  // salvage verdict built on them) are the same in every format.
+  const std::byte *Payload = Frame.data() + sizeof(ChunkHeader);
+  Body = {Payload, WireLen};
+  if (F >= WireFormat::V6 && chunkCompressed(H.PayloadBytes) &&
+      !chunkPayloadBytes(H, Payload, Inflate, Body))
+    return ChunkStatus::BadCompression;
+  if (support::crc32c(Body.data(), Body.size()) != H.Crc)
+    return ChunkStatus::BadCrc;
+  return ChunkStatus::Ok;
+}
+
+namespace {
+
+/// pread()s up to \p N bytes at \p Off into \p Dst, retrying short reads
+/// and EINTR. Returns the bytes read; \p Ok turns false on an I/O error.
+std::size_t preadAll(int Fd, std::uint64_t Off, std::byte *Dst, std::size_t N,
+                     bool &Ok) {
+  std::size_t Got = 0;
+  while (Got < N) {
+    ssize_t R = ::pread(Fd, Dst + Got, N - Got, static_cast<off_t>(Off + Got));
+    if (R < 0 && errno == EINTR)
+      continue;
+    if (R < 0) {
+      Ok = false;
+      break;
+    }
+    if (R == 0)
+      break;
+    Got += static_cast<std::size_t>(R);
+  }
+  return Got;
+}
+
+} // namespace
+
+ChunkReader::~ChunkReader() {
+  if (Fd >= 0)
+    ::close(Fd);
+}
+
+bool ChunkReader::read(std::uint64_t Off, std::size_t N,
+                       std::vector<std::byte> &Out) const {
+  bool Ok = true;
+  Out.resize(N);
+  Out.resize(preadAll(Fd, Off, Out.data(), N, Ok));
+  return Ok;
+}
+
+HeaderStatus ChunkReader::open(const std::string &Path) {
+  Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat St;
+  if (Fd < 0 || ::fstat(Fd, &St) != 0)
+    return HeaderStatus::CannotOpen;
+  FileBytes = static_cast<std::uint64_t>(St.st_size);
+
+  // The one place the `.jdev` header is parsed: magic, version range,
+  // and the v5+ sampling extension, so a format bump (like v6) lands
+  // exactly once. A read error reads as a short header.
+  std::vector<std::byte> Hdr;
+  read(0, 32, Hdr);
+  std::uint64_t Magic = 0;
+  if (Hdr.size() >= sizeof(Magic))
+    std::memcpy(&Magic, Hdr.data(), sizeof(Magic));
+  if (Magic != StreamMagic)
+    return HeaderStatus::BadMagic;
+  // A header cut inside the version field keeps the bytes that are there.
+  if (Hdr.size() > 8)
+    std::memcpy(&Version, Hdr.data() + 8,
+                std::min<std::size_t>(sizeof(Version), Hdr.size() - 8));
+  if (Hdr.size() < 16 || Version < static_cast<std::uint32_t>(WireFormat::V2) ||
+      Version > static_cast<std::uint32_t>(WireFormat::V6))
+    return HeaderStatus::BadVersion;
+  Info.Format = static_cast<WireFormat>(Version);
+  Info.Compressed = Info.Format >= WireFormat::V6;
+  DataBegin = streamHeaderBytes(Info.Format);
+  if (Hdr.size() < DataBegin)
+    return HeaderStatus::Truncated;
+  if (Info.Format >= WireFormat::V5) {
+    std::memcpy(&Info.Sampling.SampleBytes, Hdr.data() + 16, 8);
+    std::memcpy(&Info.Sampling.SampleSeed, Hdr.data() + 24, 8);
+  }
+
+  // A v4+ stream may end with a footer block: its size and magic are in
+  // the last 8 bytes, its header at the block start. Both are probed
+  // before the block is read, so a lying size word costs two small reads.
+  DataEnd = FileBytes;
+  std::vector<std::byte> Probe;
+  std::uint32_t Bytes = 0, Tail = 0;
+  if (!chunkSelfContained(Info.Format) || FileBytes - DataBegin < 8 ||
+      !read(FileBytes - 8, 8, Probe) || Probe.size() != 8)
+    return HeaderStatus::Ok;
+  std::memcpy(&Bytes, Probe.data(), 4);
+  std::memcpy(&Tail, Probe.data() + 4, 4);
+  if (Tail != FooterTailMagic || Bytes < MinFooterBlock ||
+      Bytes > FileBytes - DataBegin ||
+      !read(FileBytes - Bytes, sizeof(ChunkHeader), Probe) ||
+      Probe.size() != sizeof(ChunkHeader))
+    return HeaderStatus::Ok;
+  ChunkHeader H;
+  std::memcpy(&H, Probe.data(), sizeof(H));
+  if (H.Magic != FooterMagic ||
+      sizeof(ChunkHeader) + H.PayloadBytes + 8 != Bytes ||
+      !read(FileBytes - Bytes, Bytes, Footer) || Footer.size() != Bytes) {
+    Footer.clear();
+    return HeaderStatus::Ok;
+  }
+  DataEnd = FileBytes - Bytes;
+  return HeaderStatus::Ok;
+}
+
+bool ChunkReader::readFooter(ChunkIndex &Out) const {
   ChunkIndex Idx;
-  std::uint64_t DataEnd = 0;
-  if (!parseFooterBlock(Tail.data() + (Tail.size() - Bytes), Idx, DataEnd))
+  std::uint64_t End = 0;
+  if (Footer.empty() || !parseFooterBlock(Footer.data(), Idx, End) ||
+      End != DataEnd - DataBegin)
     return false;
   Out = std::move(Idx);
   return true;
 }
 
-bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
-                                        WireFormat F, ChunkIndex &Out,
-                                        std::string *Err) {
-  auto Fail = [&](std::string Msg) {
-    if (Err)
-      *Err = std::move(Msg);
-    return false;
-  };
-  Out.Entries.clear();
-  Out.TotalRecords = 0;
-  Out.FromFooter = false;
+bool ChunkReader::index(ChunkIndex &Out) const {
+  return footerPresent() ? readFooter(Out) : rebuildIndex(Out);
+}
 
-  // Pass 1: walk the chunk frames (structure only -- payload CRCs are
-  // verified by whoever decodes the payloads).
-  std::size_t End = Stream.size();
-  std::size_t Off = 0;
-  std::uint32_t NextSeq = 0;
-  std::size_t PayloadTotal = 0;
-  while (Off < End) {
-    if (End - Off < sizeof(ChunkHeader))
-      return Fail("truncated chunk header at offset " + std::to_string(Off));
+ChunkStatus ChunkReader::readChunk(std::uint64_t Off,
+                                   std::optional<std::uint32_t> ExpectSeq,
+                                   ChunkBuffer &C) const {
+  std::uint64_t Room = Off < DataEnd ? DataEnd - Off : 0;
+  read(Off,
+       static_cast<std::size_t>(
+           std::min<std::uint64_t>(Room, sizeof(ChunkHeader))),
+       C.Frame);
+  if (C.Frame.size() == sizeof(ChunkHeader)) {
     ChunkHeader H;
-    std::memcpy(&H, Stream.data() + Off, sizeof(H));
-    if (H.Magic == FooterMagic) {
+    std::memcpy(&H, C.Frame.data(), sizeof(H));
+    std::uint32_t WireLen = frameWireBytes(H, Info.Format);
+    // Fetch the payload of a plausible frame only; checkChunk judges the
+    // rest from the header alone.
+    if (H.Magic == ChunkMagic && WireLen <= MaxChunkPayload) {
+      std::size_t N = static_cast<std::size_t>(
+          std::min<std::uint64_t>(WireLen, Room - sizeof(ChunkHeader)));
+      bool Ok = true;
+      C.Frame.resize(sizeof(ChunkHeader) + N);
+      C.Frame.resize(sizeof(ChunkHeader) +
+                     preadAll(Fd, Off + sizeof(ChunkHeader),
+                              C.Frame.data() + sizeof(ChunkHeader), N, Ok));
+    }
+  }
+  return checkChunk(C.Frame, ExpectSeq, Info.Format, C.H, C.Inflate, C.Body);
+}
+
+bool ChunkReader::rebuildIndex(ChunkIndex &Out) const {
+  WireFormat F = Info.Format;
+  bool SelfContained = chunkSelfContained(F);
+  ChunkIndex Idx;
+  ChunkBuffer C;
+  // v2/v3 records straddle chunks: Carry holds the bytes of a record begun
+  // in chunk CarryChunk at payload offset CarryAt, until one completes it.
+  std::vector<std::byte> Carry;
+  std::size_t CarryChunk = 0;
+  std::uint32_t CarryAt = 0;
+  std::size_t Cur = ~std::size_t(0); // chunk of the last record walked
+  bool CurHasTime = false;
+  ByteTime LastTime = 0;
+  for (std::uint64_t Off = DataBegin; Off < DataEnd;) {
+    std::uint32_t Seq = static_cast<std::uint32_t>(Idx.Entries.size());
+    ChunkStatus S = readChunk(Off, Seq, C);
+    if (S == ChunkStatus::BadMagic && C.H.Magic == FooterMagic) {
       // A footer is only legal as the terminal block; its contents are
-      // exactly what this rebuild replaces, so skip it unvalidated.
-      if (H.PayloadBytes > MaxChunkPayload ||
-          End - Off != sizeof(ChunkHeader) + H.PayloadBytes + 8)
-        return Fail("malformed chunk index footer");
+      // exactly what this rebuild replaces, so it is skipped unvalidated.
+      if (C.H.PayloadBytes > MaxChunkPayload ||
+          DataEnd - Off != sizeof(ChunkHeader) + C.H.PayloadBytes + 8)
+        return false;
       break;
     }
-    if (H.Magic != ChunkMagic)
-      return Fail("bad chunk magic at chunk " + std::to_string(NextSeq));
-    // v6 frames may flag a compressed payload; the structural walk is
-    // over on-wire bytes. Pre-v6 formats have no flag bit, so a set bit
-    // 31 keeps failing the length bound below.
-    bool Compressed = F >= WireFormat::V6 && chunkCompressed(H.PayloadBytes);
-    std::uint32_t WireLen =
-        Compressed ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-    if (WireLen == 0 || WireLen > MaxChunkPayload)
-      return Fail("chunk " + std::to_string(NextSeq) +
-                  " has implausible payload length " +
-                  std::to_string(H.PayloadBytes));
-    if (H.Seq != NextSeq)
-      return Fail("chunk sequence jumped from " + std::to_string(NextSeq) +
-                  " to " + std::to_string(H.Seq));
-    if (End - Off < sizeof(ChunkHeader) + WireLen)
-      return Fail("truncated chunk payload in chunk " +
-                  std::to_string(NextSeq));
-    ChunkIndexEntry E;
-    E.Offset = Off;
-    E.Seq = H.Seq;
-    E.PayloadBytes = H.PayloadBytes; // on-wire field, flag included
-    E.Crc = H.Crc;
-    E.HeadSkip = WireLen; // overwritten if a record starts here
-    Out.Entries.push_back(E);
-    PayloadTotal += WireLen;
-    ++NextSeq;
-    Off += sizeof(ChunkHeader) + WireLen;
-  }
+    if (S != ChunkStatus::Ok)
+      return false;
+    std::size_t I = Idx.Entries.size();
+    ChunkIndexEntry &New = Idx.Entries.emplace_back();
+    New.Offset = Off - DataBegin;
+    New.Seq = Seq;
+    New.PayloadBytes = C.H.PayloadBytes; // on-wire field, flag included
+    New.Crc = C.H.Crc;
+    // The whole payload continues an earlier record unless one starts
+    // here (set below).
+    New.HeadSkip = static_cast<std::uint32_t>(C.Body.size());
+    Off += sizeof(ChunkHeader) + frameWireBytes(C.H, F);
 
-  if (Out.Entries.empty())
-    return true;
-
-  // Pass 2: walk the records over the concatenated payloads (records
-  // straddle chunks in v2/v3), attributing each record to the chunk
-  // its first byte lands in and tracking the decoder state (time-delta
-  // seed, straddle skip) a shard worker needs to start there.
-  std::vector<std::byte> Buf;
-  Buf.reserve(PayloadTotal);
-  std::vector<std::size_t> Starts(Out.Entries.size());
-  std::vector<std::uint8_t> Inflate;
-  for (std::size_t I = 0; I != Out.Entries.size(); ++I) {
-    Starts[I] = Buf.size();
-    ChunkIndexEntry &E = Out.Entries[I];
-    const std::byte *P = Stream.data() + E.Offset + sizeof(ChunkHeader);
-    // The record walk needs uncompressed bytes; a v6 chunk whose
-    // compressed payload does not decode is structural damage, same
-    // class as a truncated frame. (CRCs are still not checked here.)
-    ChunkHeader H;
-    H.PayloadBytes = E.PayloadBytes;
-    std::span<const std::byte> Body;
-    if (!chunkPayloadBytes(H, P, Inflate, Body))
-      return Fail("corrupt compressed payload in chunk " +
-                  std::to_string(E.Seq));
-    Buf.insert(Buf.end(), Body.begin(), Body.end());
-  }
-
-  std::size_t Pos = 0;
-  std::size_t Cur = 0;
-  ByteTime LastTime = 0;
-  bool CurHasTime = false;
-  std::uint64_t Records = 0;
-  while (Pos < Buf.size()) {
-    std::size_t Prev = Cur;
-    while (Cur + 1 < Starts.size() && Pos >= Starts[Cur + 1])
-      ++Cur;
-    if (Cur != Prev) {
-      CurHasTime = false;
-      if (chunkSelfContained(F))
-        LastTime = 0; // the v4/v5 delta chain restarts per chunk
+    std::span<const std::byte> Bytes = C.Body;
+    std::size_t CarryLen = Carry.size();
+    if (CarryLen) {
+      Carry.insert(Carry.end(), C.Body.begin(), C.Body.end());
+      Bytes = Carry;
     }
-    ChunkIndexEntry &E = Out.Entries[Cur];
-    WalkResult W =
-        F == WireFormat::V2
-            ? walkRecordV2(Buf.data() + Pos, Buf.size() - Pos)
-            : walkRecordV3(Buf.data() + Pos, Buf.size() - Pos, LastTime);
-    if (W.Malformed)
-      return Fail("malformed record in chunk " + std::to_string(E.Seq));
-    if (W.Len == 0)
-      return Fail("truncated event stream: partial trailing record");
-    // Chunk extents in Buf come from Starts, not E.PayloadBytes: for a
-    // compressed chunk the entry holds the on-wire field, while Buf
-    // holds the decompressed payload.
-    std::size_t CurEnd =
-        Cur + 1 < Starts.size() ? Starts[Cur + 1] : Buf.size();
-    if (chunkSelfContained(F) && Pos + W.Len > CurEnd)
-      return Fail("record straddles a chunk boundary in v4 chunk " +
-                  std::to_string(E.Seq));
-    if (E.RecordCount == 0) {
-      E.HeadSkip = static_cast<std::uint32_t>(Pos - Starts[Cur]);
-      E.TimeBase = F == WireFormat::V2 ? 0 : LastTime;
-      E.FirstRecord = Records;
-    }
-    ++E.RecordCount;
-    if (W.Timed) {
-      if (!CurHasTime) {
-        CurHasTime = true;
-        E.FirstTime = W.Time;
+    if (SelfContained)
+      LastTime = 0; // the v4+ delta chain restarts per chunk
+    std::size_t Pos = 0;
+    while (Pos < Bytes.size()) {
+      WalkResult W =
+          F == WireFormat::V2
+              ? walkRecordV2(Bytes.data() + Pos, Bytes.size() - Pos)
+              : walkRecordV3(Bytes.data() + Pos, Bytes.size() - Pos, LastTime);
+      if (W.Malformed)
+        return false;
+      if (W.Len == 0)
+        break; // continues in the next chunk
+      // Each record belongs to the chunk its first byte lands in.
+      bool Carried = Pos < CarryLen;
+      std::size_t Owner = Carried ? CarryChunk : I;
+      if (Owner != Cur) {
+        Cur = Owner;
+        CurHasTime = false;
       }
-      E.LastTime = W.Time;
-      LastTime = W.Time;
+      ChunkIndexEntry &E = Idx.Entries[Owner];
+      if (E.RecordCount == 0) {
+        E.HeadSkip =
+            Carried ? CarryAt : static_cast<std::uint32_t>(Pos - CarryLen);
+        E.TimeBase = F == WireFormat::V2 ? 0 : LastTime;
+        E.FirstRecord = Idx.TotalRecords;
+      }
+      ++E.RecordCount;
+      if (W.Timed) {
+        if (!CurHasTime) {
+          CurHasTime = true;
+          E.FirstTime = W.Time;
+        }
+        E.LastTime = W.Time;
+        LastTime = W.Time;
+      }
+      ++Idx.TotalRecords;
+      Pos += W.Len;
     }
-    ++Records;
-    Pos += W.Len;
+    // v4+ chunks end at a record boundary; a v2/v3 remainder carries.
+    if (Pos < Bytes.size() && SelfContained)
+      return false;
+    if (Pos >= CarryLen && Pos < Bytes.size()) {
+      CarryChunk = I;
+      CarryAt = static_cast<std::uint32_t>(Pos - CarryLen);
+    }
+    if (CarryLen)
+      Carry.erase(Carry.begin(),
+                  Carry.begin() + static_cast<std::ptrdiff_t>(Pos));
+    else
+      Carry.assign(Bytes.begin() + static_cast<std::ptrdiff_t>(Pos),
+                   Bytes.end());
   }
-  Out.TotalRecords = Records;
+  if (!Carry.empty())
+    return false; // the stream ends mid-record
+  Out = std::move(Idx);
   return true;
+}
+
+bool jdrag::profiler::decodeChunkRange(const ChunkReader &R,
+                                       const ChunkIndex &Idx, std::size_t B,
+                                       std::size_t E, EventConsumer &C,
+                                       std::string &Err,
+                                       std::uint64_t *RawBytes) {
+  const std::vector<ChunkIndexEntry> &Ents = Idx.Entries;
+  WireFormat F = R.header().Format;
+  StreamDecoder Dec(C, F);
+  ChunkBuffer Buf;
+  auto Fail = [&](std::string Msg) {
+    Err = std::move(Msg);
+    return false;
+  };
+  // Reads chunk I and re-verifies it against its index entry: the index
+  // construction bounds-checked every offset, and a footer-sourced one
+  // is a producer's claim, so its CRC must match the frame's too.
+  auto Read = [&](std::size_t I, bool InRange) {
+    const ChunkIndexEntry &En = Ents[I];
+    ChunkStatus S = R.readChunk(R.dataBegin() + En.Offset,
+                                static_cast<std::uint32_t>(I), Buf);
+    if (S != ChunkStatus::Ok || Buf.H.Seq != En.Seq ||
+        Buf.H.PayloadBytes != En.PayloadBytes ||
+        (Idx.FromFooter && En.Crc != Buf.H.Crc))
+      return Fail("chunk " + std::to_string(I) + " disagrees with the index (" +
+                  chunkStatusName(S) + ")");
+    if (RawBytes && InRange)
+      *RawBytes += Buf.Body.size();
+    return true;
+  };
+
+  if (chunkSelfContained(F)) {
+    for (std::size_t I = B; I < E; ++I) {
+      if (!Read(I, true))
+        return false;
+      std::uint64_t Before = Dec.eventsDecoded();
+      Dec.resetTimeBase(0);
+      if (!Dec.feed(Buf.Body.data(), Buf.Body.size()))
+        return Fail(Dec.error());
+      if (!Dec.atRecordBoundary())
+        return Fail("record straddles a chunk boundary in v4 chunk " +
+                    std::to_string(I));
+      if (Dec.eventsDecoded() - Before != Ents[I].RecordCount)
+        return Fail("chunk index record count lies for chunk " +
+                    std::to_string(I));
+    }
+    return true;
+  }
+
+  // v2/v3: records may straddle chunks and (v3) time deltas chain across
+  // them. Leading chunks that only continue an earlier range's record
+  // are checked but not decoded (that range decodes those bytes as its
+  // tail); the time base is seeded at the first record starting here.
+  std::size_t First = B;
+  for (; First < E && Ents[First].RecordCount == 0; ++First)
+    if (!Read(First, true))
+      return false;
+  for (std::size_t I = First; I < E; ++I) {
+    if (!Read(I, true))
+      return false;
+    std::size_t Skip = 0;
+    if (I == First) {
+      Skip = Ents[I].HeadSkip;
+      Dec.resetTimeBase(Ents[I].TimeBase);
+    }
+    if (!Dec.feed(Buf.Body.data() + Skip, Buf.Body.size() - Skip))
+      return Fail(Dec.error());
+  }
+  // Tail completion: a record begun in the last chunk may continue into
+  // the next range. Its bytes are exactly the HeadSkip prefixes of the
+  // following chunks (whole payloads while RecordCount is 0).
+  for (std::size_t I = E; I < Ents.size() && Dec.pendingBytes() > 0; ++I) {
+    if (!Read(I, false))
+      return false;
+    if (!Dec.feed(Buf.Body.data(), Ents[I].HeadSkip))
+      return Fail(Dec.error());
+  }
+  if (Dec.pendingBytes() > 0)
+    return Fail("record at the end of the stream is incomplete");
+  return true;
+}
+
+unsigned jdrag::profiler::forEachShard(
+    const ChunkIndex &Idx, unsigned Jobs,
+    support::FunctionRef<void(unsigned, std::size_t, std::size_t)> Fn) {
+  std::size_t N = Idx.Entries.size();
+  std::size_t S = std::min<std::size_t>(Jobs, N);
+  // Balance by on-wire bytes (masking the v6 compressed flag, a no-op
+  // for pre-v6 entries where payloads stay under 2^31).
+  std::uint64_t Total = 0;
+  for (const ChunkIndexEntry &En : Idx.Entries)
+    Total += chunkWireBytes(En.PayloadBytes);
+  std::vector<std::size_t> Cut(S + 1, 0);
+  Cut[S] = N;
+  std::size_t I = 0;
+  std::uint64_t Acc = 0;
+  for (std::size_t K = 1; K < S; ++K) {
+    std::uint64_t Target = Total * K / S;
+    while (I < N && Acc < Target)
+      Acc += chunkWireBytes(Idx.Entries[I++].PayloadBytes);
+    Cut[K] = I;
+  }
+  std::vector<std::thread> Threads;
+  Threads.reserve(S);
+  for (std::size_t K = 0; K < S; ++K)
+    Threads.emplace_back(
+        [&, K] { Fn(static_cast<unsigned>(K), Cut[K], Cut[K + 1]); });
+  for (std::thread &T : Threads)
+    T.join();
+  return static_cast<unsigned>(S);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1508,37 +1772,23 @@ bool jdrag::profiler::replayBytes(std::span<const std::byte> Bytes,
 
 namespace {
 
-/// The one place the `.jdev` header is parsed: magic, version range,
-/// and the v5+ sampling extension. \p F must be positioned at byte 0;
-/// on success it is left at the first chunk frame and \p Info is
-/// filled. replayFile and readStreamHeader both go through here, so a
-/// format bump (like v6) lands exactly once.
-bool readHeaderFrom(std::FILE *F, const std::string &Path,
-                    StreamHeaderInfo &Info, std::string &Err) {
-  std::uint64_t Magic = 0;
-  std::uint32_t Version = 0, Reserved = 0;
-  if (std::fread(&Magic, sizeof(Magic), 1, F) != 1 || Magic != StreamMagic) {
-    Err = Path + ": not a .jdev event stream (bad magic)";
-    return false;
+/// The replay readers' wording of a header that does not parse.
+std::string headerError(HeaderStatus S, const std::string &Path,
+                        std::uint32_t Version) {
+  switch (S) {
+  case HeaderStatus::Ok:
+    break;
+  case HeaderStatus::CannotOpen:
+    return "cannot open " + Path;
+  case HeaderStatus::BadMagic:
+    return Path + ": not a .jdev event stream (bad magic)";
+  case HeaderStatus::BadVersion:
+    return Path + ": unsupported .jdev version " + std::to_string(Version);
+  case HeaderStatus::Truncated:
+    return Path + ": truncated v" + std::to_string(Version) +
+           " stream header";
   }
-  if (std::fread(&Version, sizeof(Version), 1, F) != 1 ||
-      std::fread(&Reserved, sizeof(Reserved), 1, F) != 1 ||
-      Version < static_cast<std::uint32_t>(WireFormat::V2) ||
-      Version > static_cast<std::uint32_t>(WireFormat::V6)) {
-    Err = Path + ": unsupported .jdev version " + std::to_string(Version);
-    return false;
-  }
-  Info.Format = static_cast<WireFormat>(Version);
-  Info.Sampling = SamplingParams{};
-  Info.Compressed = Info.Format >= WireFormat::V6;
-  if (Info.Format >= WireFormat::V5 &&
-      (std::fread(&Info.Sampling.SampleBytes, 8, 1, F) != 1 ||
-       std::fread(&Info.Sampling.SampleSeed, 8, 1, F) != 1)) {
-    Err = Path + ": truncated v" + std::to_string(Version) +
-          " stream header";
-    return false;
-  }
-  return true;
+  return "";
 }
 
 } // namespace
@@ -1550,33 +1800,21 @@ bool jdrag::profiler::replayFile(const std::string &Path, EventConsumer &C,
       *Err = Msg;
     return false;
   };
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Fail("cannot open " + Path);
-
-  StreamHeaderInfo Hdr;
-  std::string HdrErr;
-  if (!readHeaderFrom(F, Path, Hdr, HdrErr)) {
-    std::fclose(F);
-    return Fail(HdrErr);
-  }
+  ChunkReader R;
+  HeaderStatus S = R.open(Path);
+  if (S != HeaderStatus::Ok)
+    return Fail(headerError(S, Path, R.version()));
   if (Info)
-    *Info = Hdr;
+    *Info = R.header();
 
-  FrameDecoder D(C, Hdr.Format);
-  std::byte Buf[64 * 1024];
-  bool Ok = true;
-  while (true) {
-    std::size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-    if (N == 0)
+  FrameDecoder D(C, R.header().Format);
+  std::vector<std::byte> Buf;
+  bool Ok = true, ReadError = false;
+  for (std::uint64_t Off = R.dataBegin();; Off += Buf.size()) {
+    ReadError = !R.read(Off, 64 * 1024, Buf);
+    if (Buf.empty() || !(Ok = D.feed(Buf.data(), Buf.size())) || ReadError)
       break;
-    if (!D.feed(Buf, N)) {
-      Ok = false;
-      break;
-    }
   }
-  bool ReadError = std::ferror(F) != 0;
-  std::fclose(F);
   if (!Ok)
     return Fail(D.error());
   if (ReadError)
@@ -1591,35 +1829,13 @@ bool jdrag::profiler::replayFile(const std::string &Path, EventConsumer &C,
 bool jdrag::profiler::readStreamHeader(const std::string &Path,
                                        StreamHeaderInfo &Info,
                                        std::string *Err) {
-  auto Fail = [&](const std::string &Msg) {
+  ChunkReader R;
+  HeaderStatus S = R.open(Path);
+  if (S != HeaderStatus::Ok) {
     if (Err)
-      *Err = Msg;
+      *Err = headerError(S, Path, R.version());
     return false;
-  };
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Fail("cannot open " + Path);
-  std::string HdrErr;
-  if (!readHeaderFrom(F, Path, Info, HdrErr)) {
-    std::fclose(F);
-    return Fail(HdrErr);
   }
-  std::fclose(F);
+  Info = R.header();
   return true;
-}
-
-bool jdrag::profiler::readWholeFile(const std::string &Path,
-                                    std::vector<std::byte> &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  In.seekg(0, std::ios::end);
-  std::streamoff End = In.tellg();
-  if (End < 0)
-    return false;
-  In.seekg(0, std::ios::beg);
-  Out.resize(static_cast<std::size_t>(End));
-  if (End > 0)
-    In.read(reinterpret_cast<char *>(Out.data()), End);
-  return static_cast<bool>(In);
 }

@@ -60,7 +60,7 @@
 ///       a reader can fan chunk ranges out to N decode threads without
 ///       scanning the file first (profiler/ParallelReplay.h). Readers
 ///       rebuild a missing or untrusted index with one sequential pass
-///       (rebuildChunkIndex), which also serves v2/v3 streams.
+///       (ChunkReader::rebuildIndex), which also serves v2/v3 streams.
 ///
 /// The producer side degrades gracefully instead of failing silently:
 /// when a sink write fails, EventBuffer keeps accepting events, accounts
@@ -74,6 +74,7 @@
 #define JDRAG_PROFILER_EVENTSTREAM_H
 
 #include "profiler/SiteTable.h"
+#include "support/FunctionRef.h"
 #include "support/Lz.h"
 #include "support/Units.h"
 #include "vm/Value.h"
@@ -84,6 +85,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -288,6 +290,47 @@ bool chunkPayloadBytes(const ChunkHeader &H, const std::byte *Payload,
                        std::vector<std::uint8_t> &Scratch,
                        std::span<const std::byte> &Out);
 
+/// Per-chunk integrity verdict: what checkChunk finds, and what a salvage
+/// scan reports for every chunk (profiler/StreamSalvage.h).
+enum class ChunkStatus : std::uint8_t {
+  Ok,               ///< header valid, CRC matches
+  TruncatedHeader,  ///< the bytes end inside the 16-byte chunk header
+  TruncatedPayload, ///< the bytes end inside the payload
+  BadMagic,         ///< header magic is wrong (overwritten / garbage)
+  BadSequence,      ///< sequence number out of order (dropped chunks)
+  OversizedPayload, ///< length field zero or beyond MaxChunkPayload
+  BadCrc,           ///< payload bytes do not match the stored CRC-32C
+  BadRecords,       ///< CRC valid but the payload decodes to garbage
+  BadCompression,   ///< v6 compressed payload does not decompress
+};
+
+const char *chunkStatusName(ChunkStatus S);
+
+/// The one check of a chunk frame. \p Frame holds the bytes available
+/// from the frame's first header byte on (possibly fewer than the whole
+/// frame). The checks run in this order and the first that fails is
+/// returned: room for the header (TruncatedHeader), magic (BadMagic),
+/// payload length (OversizedPayload), sequence == \p ExpectSeq when one
+/// is given (BadSequence), room for the payload (TruncatedPayload),
+/// decompression of a flagged v6 payload (BadCompression), CRC-32C
+/// (BadCrc). \p H receives the header whenever it fits; on Ok and BadCrc
+/// \p Body is the uncompressed payload (in \p Inflate for a compressed
+/// chunk). Never returns BadRecords -- records are the decoder's job.
+ChunkStatus checkChunk(std::span<const std::byte> Frame,
+                       std::optional<std::uint32_t> ExpectSeq, WireFormat F,
+                       ChunkHeader &H, std::vector<std::uint8_t> &Inflate,
+                       std::span<const std::byte> &Body);
+
+/// On-wire payload bytes of the frame headed by \p H in a stream of
+/// format \p F: v6 length fields may carry the compressed flag, earlier
+/// formats take the field at face value (so a flagged frame fails the
+/// length bound there).
+inline constexpr std::uint32_t frameWireBytes(const ChunkHeader &H,
+                                              WireFormat F) {
+  return F >= WireFormat::V6 ? chunkWireBytes(H.PayloadBytes)
+                             : H.PayloadBytes;
+}
+
 //===----------------------------------------------------------------------===//
 // Chunk index footer (v4)
 //===----------------------------------------------------------------------===//
@@ -353,31 +396,8 @@ std::size_t footerBlockSize(std::span<const std::byte> Stream);
 
 /// Parses and CRC-verifies the footer at the tail of \p Stream into
 /// \p Out (FromFooter = true). Returns false if absent or invalid --
-/// callers fall back to rebuildChunkIndex.
+/// callers fall back to a rebuilt index (ChunkReader::rebuildIndex).
 bool readChunkIndexFooter(std::span<const std::byte> Stream, ChunkIndex &Out);
-
-/// Like readChunkIndexFooter, but \p Tail is only a *suffix* of the
-/// framed stream (it must end where the stream ends), so the one check
-/// that needs the full extent -- entries tiling the data region exactly
-/// up to the footer -- is skipped. Everything else (tail magic, header,
-/// payload CRC, per-entry offset chain) is verified. This lets a reader
-/// peek footer metadata (e.g. the stream's end time, max of the entries'
-/// LastTime) from the last few KB of a file without loading it; the
-/// claims are still a producer's, so consumers must cross-check them
-/// against what an actual decode observes.
-bool peekChunkIndexFooterTail(std::span<const std::byte> Tail,
-                              ChunkIndex &Out);
-
-/// Rebuilds the chunk index with one strict sequential pass over
-/// \p Stream (raw framed bytes): walks every frame and record, filling
-/// per-chunk record counts, times, straddle skips and time-delta seeds.
-/// Serves v2/v3 streams (which never have a footer), v4 streams whose
-/// footer is missing or untrusted, and footer-vs-reality audits.
-/// Returns false with \p Err on structural damage (truncation, bad
-/// magic/sequence, malformed records) -- CRCs are NOT checked here;
-/// consumers verify payload CRCs when they decode.
-bool rebuildChunkIndex(std::span<const std::byte> Stream, WireFormat F,
-                       ChunkIndex &Out, std::string *Err = nullptr);
 
 //===----------------------------------------------------------------------===//
 // Chunk compression (v6)
@@ -959,11 +979,118 @@ bool replayFile(const std::string &Path, EventConsumer &C,
 bool readStreamHeader(const std::string &Path, StreamHeaderInfo &Info,
                       std::string *Err = nullptr);
 
-/// Reads the whole file at \p Path into \p Out (for readers that scan
-/// a recording with random access). Returns false when the file cannot
-/// be opened or read; an empty file reads as an empty \p Out. Callers
-/// own the error message.
-bool readWholeFile(const std::string &Path, std::vector<std::byte> &Out);
+//===----------------------------------------------------------------------===//
+// Chunk reader
+//===----------------------------------------------------------------------===//
+
+/// Outcome of parsing a `.jdev` file header (ChunkReader::open). Each
+/// reader words its own message for these.
+enum class HeaderStatus : std::uint8_t {
+  Ok,
+  CannotOpen, ///< the file cannot be opened
+  BadMagic,   ///< shorter than the 8-byte magic, or not the magic
+  BadVersion, ///< version outside v2..v6, or the base header cut short
+  Truncated,  ///< a v5+ header cut before its sampling extension
+};
+
+/// One chunk as ChunkReader::readChunk read it: the frame bytes, the
+/// header, and (on Ok) the verified uncompressed payload. Reused from
+/// chunk to chunk, so a reader holds one chunk at a time.
+struct ChunkBuffer {
+  ChunkHeader H;
+  std::span<const std::byte> Body;
+  std::vector<std::byte> Frame;
+  std::vector<std::uint8_t> Inflate;
+};
+
+/// The one reader of `.jdev` files on disk. open() parses the header;
+/// index() yields the chunk index -- the footer, read from the tail, or
+/// an index rebuilt by a walk that holds one chunk at a time; readChunk()
+/// reads any one chunk with pread and checks it with checkChunk. Nothing
+/// loads the whole file, so a reader's memory is one chunk per caller
+/// (plus, for v2/v3, one record straddling chunks). Const members may be
+/// called from several threads at once, each with its own ChunkBuffer.
+class ChunkReader {
+public:
+  ChunkReader() = default;
+  ~ChunkReader();
+  ChunkReader(const ChunkReader &) = delete;
+  ChunkReader &operator=(const ChunkReader &) = delete;
+
+  /// Opens \p Path, parses its header and locates a structurally present
+  /// chunk index footer. Only valid once per reader.
+  HeaderStatus open(const std::string &Path);
+
+  /// Format, sampling params and compression of an Ok header.
+  const StreamHeaderInfo &header() const { return Info; }
+  /// The raw header version field (0 when the file ends before it).
+  std::uint32_t version() const { return Version; }
+  std::uint64_t fileBytes() const { return FileBytes; }
+  /// File offset of the first chunk frame (the header size).
+  std::uint64_t dataBegin() const { return DataBegin; }
+  /// File offset where the data chunks end: the start of a structurally
+  /// present v4+ footer block, else the end of the file.
+  std::uint64_t dataEnd() const { return DataEnd; }
+  bool footerPresent() const { return !Footer.empty(); }
+
+  /// Reads up to \p N bytes at file offset \p Off into \p Out, resized
+  /// to the bytes read (fewer at the end of the file). Returns false on
+  /// an I/O error.
+  bool read(std::uint64_t Off, std::size_t N,
+            std::vector<std::byte> &Out) const;
+
+  /// Parses and CRC-verifies the footer into \p Out (FromFooter = true),
+  /// including that its entries tile the data region exactly. False when
+  /// there is no footer or it is damaged.
+  bool readFooter(ChunkIndex &Out) const;
+
+  /// The chunk index: the footer's when one is present (false when it is
+  /// damaged), else rebuildIndex().
+  bool index(ChunkIndex &Out) const;
+
+  /// Rebuilds the chunk index with one strict walk over the data chunks:
+  /// every frame is checked with checkChunk and every record measured,
+  /// filling per-chunk record counts, times, straddle skips and time-delta
+  /// seeds. Serves v2/v3 streams (which never have a footer), v4+ streams
+  /// whose footer is missing or untrusted, and footer-vs-reality audits.
+  /// A footer frame ends the walk when it spans exactly to the end of the
+  /// file. Returns false on any damage.
+  bool rebuildIndex(ChunkIndex &Out) const;
+
+  /// Reads the chunk frame at file offset \p Off -- at most up to
+  /// dataEnd() -- into \p C and returns checkChunk's verdict on it.
+  ChunkStatus readChunk(std::uint64_t Off,
+                        std::optional<std::uint32_t> ExpectSeq,
+                        ChunkBuffer &C) const;
+
+private:
+  int Fd = -1;
+  StreamHeaderInfo Info;
+  std::uint32_t Version = 0;
+  std::uint64_t FileBytes = 0;
+  std::uint64_t DataBegin = 0;
+  std::uint64_t DataEnd = 0;
+  std::vector<std::byte> Footer; ///< the footer block, when present
+};
+
+/// Reads chunks [\p B, \p E) of \p Idx through \p R, checks each against
+/// its index entry, and decodes their records into \p C. v4+ chunks are
+/// self-contained; a v2/v3 range seeds the time-delta chain from the
+/// index, skips leading bytes that continue an earlier range's record,
+/// and finishes a record that straddles past \p E from the next chunks'
+/// heads. \p RawBytes (optional) accumulates the range's uncompressed
+/// payload bytes. Returns false with \p Err at the first failed check.
+bool decodeChunkRange(const ChunkReader &R, const ChunkIndex &Idx,
+                      std::size_t B, std::size_t E, EventConsumer &C,
+                      std::string &Err, std::uint64_t *RawBytes = nullptr);
+
+/// Splits \p Idx into at most \p Jobs contiguous chunk ranges balanced by
+/// on-wire payload bytes and runs \p Fn(Shard, B, E) for each range on a
+/// thread of its own. Returns the number of ranges (0 for an empty
+/// index).
+unsigned forEachShard(
+    const ChunkIndex &Idx, unsigned Jobs,
+    support::FunctionRef<void(unsigned, std::size_t, std::size_t)> Fn);
 
 } // namespace jdrag::profiler
 

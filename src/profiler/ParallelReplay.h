@@ -12,11 +12,13 @@
 /// The map side partitions the stream's chunk index (parsed from a v4
 /// footer, or rebuilt with one sequential pass for v2/v3 and footerless
 /// v4 files) into contiguous chunk ranges balanced by payload bytes.
-/// Each worker verifies its chunks (magic, sequence, CRC-32C) and
-/// decodes them independently: v4 chunks are self-contained (per-chunk
-/// time baseline, record-aligned), while v2/v3 workers seed the time
-/// delta chain from the rebuilt index and finish a range-straddling
-/// tail record by reading into the next range's head bytes.
+/// Each worker reads its chunks one at a time through the recording's
+/// ChunkReader, checks them (magic, sequence, CRC-32C) and decodes them
+/// independently (decodeChunkRange): v4 chunks are self-contained
+/// (per-chunk time baseline, record-aligned), while v2/v3 workers seed
+/// the time delta chain from the rebuilt index and finish a
+/// range-straddling tail record by reading into the next range's head
+/// bytes.
 ///
 /// The reduce side folds the per-shard partials in shard order:
 /// allocation facts are first-wins, last-use times fold as a max,

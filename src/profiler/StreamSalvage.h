@@ -34,21 +34,6 @@
 
 namespace jdrag::profiler {
 
-/// Per-chunk integrity verdict of a salvage scan.
-enum class ChunkStatus : std::uint8_t {
-  Ok,               ///< header valid, CRC matches
-  TruncatedHeader,  ///< file ends inside the 16-byte chunk header
-  TruncatedPayload, ///< file ends inside the payload
-  BadMagic,         ///< header magic is wrong (overwritten / garbage)
-  BadSequence,      ///< sequence number out of order (dropped chunks)
-  OversizedPayload, ///< length field beyond MaxChunkPayload
-  BadCrc,           ///< payload bytes do not match the stored CRC-32C
-  BadRecords,       ///< CRC valid but the payload decodes to garbage
-  BadCompression,   ///< v6 compressed payload does not decompress
-};
-
-const char *chunkStatusName(ChunkStatus S);
-
 struct ChunkVerdict {
   std::uint64_t Offset = 0; ///< file offset of the chunk header
   std::uint32_t Seq = 0;    ///< sequence number from the header
@@ -117,14 +102,12 @@ struct SalvageReport {
 /// (FooterPresent/FooterOk) rather than judged as a chunk.
 SalvageReport scanEventFile(const std::string &Path, EventConsumer *C);
 
-/// scanEventFile with the per-chunk CRC verification fanned out over
-/// \p Jobs threads. Only the verification parallelizes -- the verdict
-/// walk and any prefix replay into \p C stay sequential and the report
-/// is identical to the sequential scan's; damaged or non-contiguous
-/// files fall back to scanEventFile wholesale. Jobs <= 1 is exactly
-/// scanEventFile.
-SalvageReport scanEventFileParallel(const std::string &Path, unsigned Jobs,
-                                    EventConsumer *C = nullptr);
+/// scanEventFile with the chunk checks fanned out over \p Jobs threads,
+/// each reading and decoding its own chunk range (decodeChunkRange). The
+/// report is identical to the sequential scan's: any file that is not
+/// wholly clean -- a damaged header, footer, chunk or record -- falls
+/// back to scanEventFile wholesale. Jobs <= 1 is exactly scanEventFile.
+SalvageReport scanEventFileParallel(const std::string &Path, unsigned Jobs);
 
 /// Recovers the longest valid event prefix of \p In and writes it to
 /// \p Out as a fresh, fully valid `.jdev` recording. Returns false and
@@ -133,8 +116,8 @@ SalvageReport scanEventFileParallel(const std::string &Path, unsigned Jobs,
 /// file still succeeds (and writes a header-only recording). \p Rep,
 /// when non-null, receives the scan report of \p In. The output is
 /// written in the current default wire format, chunk index footer
-/// included. \p Jobs > 1 fans the probe pass's CRC verification out
-/// over that many threads (the re-encode pass is inherently ordered).
+/// included. \p Jobs > 1 fans the probe pass's chunk checks out over
+/// that many threads (the re-encode pass is inherently ordered).
 bool salvageEventFile(const std::string &In, const std::string &Out,
                       SalvageReport *Rep = nullptr,
                       std::string *Err = nullptr, unsigned Jobs = 1);

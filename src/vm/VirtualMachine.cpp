@@ -115,12 +115,14 @@ Interpreter::Status VirtualMachine::run(std::string *Err) {
   Interp->setOOMInstance(TheHeap.allocateObject(P.OOMClass));
 
   Interpreter::Status S = Interp->call(P.MainMethod, {}, nullptr, Err);
-  if (S != Interpreter::Status::Ok)
-    return S;
 
   // The paper: "When the program terminates, we perform a last deep GC
   // and then we log information for all objects that still remain in the
-  // heap."
+  // heap." Every exit runs it -- an uncaught exception, a trap or the
+  // step limit too, as a JVM's termination does -- so a failing
+  // program's recording ends like any other (survivors, Terminate, a
+  // flushed stream with its footer and health) and run() still returns
+  // the failure.
   Interp->runDeepGC();
   if (Emitter) {
     TheHeap.forEachLiveObject([&](Handle, const HeapObject &Obj) {

@@ -312,6 +312,56 @@ TEST(HotPathDifferential, UncaughtThrow) {
   expectGolden(goldenLine("uncaught-throw", R));
 }
 
+/// Allocates an int[2], then fails: an out-of-bounds load traps, or an
+/// endless loop runs into the step limit.
+Program buildAllocThenFail(bool Trap) {
+  TestProgramBuilder T;
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  std::uint32_t A = M.newLocal(ValueKind::Ref);
+  M.iconst(2).newarray(ArrayKind::Int).astore(A);
+  if (Trap) {
+    M.aload(A).iconst(5).iaload().pop().ret();
+  } else {
+    Label Loop = M.newLabel();
+    M.bind(Loop);
+    M.goto_(Loop);
+  }
+  M.finish();
+  T.PB.setMain(M.id());
+  return T.finishVerified();
+}
+
+/// A run that ends in an uncaught exception, a trap or the step limit
+/// still terminates like any other: its recording replays cleanly, ends
+/// at a Terminate event, and logs every object it allocated.
+TEST(HotPathDifferential, FailingRunsReplayCleanly) {
+  VMOptions Limited;
+  Limited.MaxSteps = 1000;
+  struct Case {
+    Program P;
+    VMOptions Opts;
+    Interpreter::Status Want;
+  } Cases[] = {
+      {buildUncaughtThrow(), VMOptions(),
+       Interpreter::Status::UncaughtException},
+      {buildAllocThenFail(/*Trap=*/true), VMOptions(),
+       Interpreter::Status::Trap},
+      {buildAllocThenFail(/*Trap=*/false), Limited,
+       Interpreter::Status::StepLimit},
+  };
+  for (const Case &C : Cases) {
+    StreamRun R = record(C.P, {}, C.Opts);
+    EXPECT_EQ(R.Status, C.Want);
+    profiler::DragProfiler Prof(C.P);
+    std::string Err;
+    ASSERT_TRUE(profiler::replayBytes(R.Bytes, Prof, &Err)) << Err;
+    EXPECT_GT(Prof.log().EndTime, 0u);
+    EXPECT_FALSE(Prof.log().Records.empty());
+    EXPECT_EQ(Prof.liveTrailers(), 0u);
+  }
+}
+
 /// The live-profiling path (DragProfiler's dispatch sink consuming the
 /// stream as it is produced) is pinned by its serialized log, the
 /// strongest equality available.

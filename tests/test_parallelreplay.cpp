@@ -17,6 +17,7 @@
 #include "profiler/EventStream.h"
 #include "profiler/ParallelReplay.h"
 #include "profiler/StreamSalvage.h"
+#include "support/Crc32c.h"
 #include "vm/VirtualMachine.h"
 
 #include "VMTestUtils.h"
@@ -171,30 +172,36 @@ TEST(ParallelReplay, V4FooterParallelMatchesSequential) {
   std::remove(Path.c_str());
 }
 
+// 512-byte chunks split records across chunk boundaries; 8-byte ones
+// also spread a single record (a site definition) over several chunks.
 TEST(ParallelReplay, V3NoFooterParallelMatchesSequential) {
   ir::Program P = buildChurnProgram();
   std::string Path = tempPath("v3.jdev");
-  recordRun(P, Path, /*ChunkBytes=*/512, WireFormat::V3);
+  for (std::size_t ChunkBytes : {512u, 8u}) {
+    recordRun(P, Path, ChunkBytes, WireFormat::V3);
 
-  SalvageReport Rep = scanEventFile(Path, nullptr);
-  ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
-  EXPECT_FALSE(Rep.FooterPresent);
-  ASSERT_GE(Rep.Chunks.size(), 4u);
+    SalvageReport Rep = scanEventFile(Path, nullptr);
+    ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
+    EXPECT_FALSE(Rep.FooterPresent);
+    ASSERT_GE(Rep.Chunks.size(), 4u);
 
-  expectParallelMatchesSequential(Path, P);
+    expectParallelMatchesSequential(Path, P);
+  }
   std::remove(Path.c_str());
 }
 
 TEST(ParallelReplay, V2ParallelMatchesSequential) {
   ir::Program P = buildChurnProgram();
   std::string Path = tempPath("v2.jdev");
-  recordRun(P, Path, /*ChunkBytes=*/512, WireFormat::V2);
+  for (std::size_t ChunkBytes : {512u, 8u}) {
+    recordRun(P, Path, ChunkBytes, WireFormat::V2);
 
-  SalvageReport Rep = scanEventFile(Path, nullptr);
-  ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
-  ASSERT_GE(Rep.Chunks.size(), 4u);
+    SalvageReport Rep = scanEventFile(Path, nullptr);
+    ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
+    ASSERT_GE(Rep.Chunks.size(), 4u);
 
-  expectParallelMatchesSequential(Path, P);
+    expectParallelMatchesSequential(Path, P);
+  }
   std::remove(Path.c_str());
 }
 
@@ -391,6 +398,127 @@ TEST(ParallelReplay, HeaderOnlyRecording) {
       << Err;
   EXPECT_TRUE(Par.Records.empty());
   expectBitIdentical(Seq, Par);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The chunk reader every sharded and salvage path reads through
+//===----------------------------------------------------------------------===//
+
+// The rebuild walk, which holds one chunk at a time, must reconstruct
+// exactly the index the producer wrote into the footer.
+TEST(ChunkReader, RebuiltIndexMatchesFooter) {
+  ir::Program P = buildChurnProgram();
+  std::string Path = tempPath("v4_reader.jdev");
+  recordRun(P, Path, /*ChunkBytes=*/512);
+  ChunkReader R;
+  ASSERT_EQ(R.open(Path), HeaderStatus::Ok);
+  ASSERT_TRUE(R.footerPresent());
+  ChunkIndex Footer, Rebuilt;
+  ASSERT_TRUE(R.readFooter(Footer));
+  ASSERT_TRUE(R.rebuildIndex(Rebuilt));
+  EXPECT_TRUE(Footer.FromFooter);
+  EXPECT_FALSE(Rebuilt.FromFooter);
+  ASSERT_GE(Rebuilt.Entries.size(), 2u);
+  ASSERT_EQ(Rebuilt.Entries.size(), Footer.Entries.size());
+  EXPECT_EQ(Rebuilt.TotalRecords, Footer.TotalRecords);
+  for (std::size_t I = 0; I != Footer.Entries.size(); ++I) {
+    const ChunkIndexEntry &A = Footer.Entries[I], &B = Rebuilt.Entries[I];
+    EXPECT_EQ(A.Offset, B.Offset) << I;
+    EXPECT_EQ(A.Seq, B.Seq) << I;
+    EXPECT_EQ(A.PayloadBytes, B.PayloadBytes) << I;
+    EXPECT_EQ(A.Crc, B.Crc) << I;
+    EXPECT_EQ(A.RecordCount, B.RecordCount) << I;
+    EXPECT_EQ(A.FirstTime, B.FirstTime) << I;
+    EXPECT_EQ(A.LastTime, B.LastTime) << I;
+    EXPECT_EQ(A.FirstRecord, B.FirstRecord) << I;
+  }
+  std::remove(Path.c_str());
+}
+
+// checkChunk runs its checks in one fixed order and reports the first
+// that fails, whatever else is wrong with the frame.
+TEST(ChunkReader, CheckChunkReportsTheFirstFailingCheck) {
+  const std::byte Payload[5] = {std::byte(1), std::byte(2), std::byte(3),
+                                std::byte(4), std::byte(5)};
+  ChunkHeader Good;
+  Good.Magic = ChunkMagic;
+  Good.Seq = 7;
+  Good.PayloadBytes = sizeof(Payload);
+  Good.Crc = support::crc32c(Payload, sizeof(Payload));
+  auto Check = [&](ChunkHeader H, std::size_t PayloadBytes,
+                   std::optional<std::uint32_t> Seq = 7) {
+    std::vector<std::byte> Frame(sizeof(H) + PayloadBytes);
+    std::memcpy(Frame.data(), &H, sizeof(H));
+    std::memcpy(Frame.data() + sizeof(H), Payload, PayloadBytes);
+    ChunkHeader Out;
+    std::vector<std::uint8_t> Inflate;
+    std::span<const std::byte> Body;
+    return checkChunk(Frame, Seq, WireFormat::V4, Out, Inflate, Body);
+  };
+  EXPECT_EQ(Check(Good, 5), ChunkStatus::Ok);
+  EXPECT_EQ(Check(Good, 5, std::nullopt), ChunkStatus::Ok);
+  ChunkHeader H = Good;
+  H.Crc ^= 1;
+  EXPECT_EQ(Check(H, 5), ChunkStatus::BadCrc);
+  EXPECT_EQ(Check(H, 4), ChunkStatus::TruncatedPayload);
+  H.Seq = 8;
+  EXPECT_EQ(Check(H, 4), ChunkStatus::BadSequence);
+  EXPECT_EQ(Check(H, 4, std::nullopt), ChunkStatus::TruncatedPayload);
+  H.PayloadBytes = MaxChunkPayload + 1;
+  EXPECT_EQ(Check(H, 4), ChunkStatus::OversizedPayload);
+  H.PayloadBytes = 0;
+  EXPECT_EQ(Check(H, 4), ChunkStatus::OversizedPayload);
+  H.Magic = FooterMagic;
+  EXPECT_EQ(Check(H, 4), ChunkStatus::BadMagic);
+  std::vector<std::uint8_t> Inflate;
+  std::span<const std::byte> Body;
+  std::vector<std::byte> Short(sizeof(ChunkHeader) - 1);
+  EXPECT_EQ(checkChunk(Short, 0, WireFormat::V4, H, Inflate, Body),
+            ChunkStatus::TruncatedHeader);
+}
+
+// v2/v3 records straddle chunks -- at 8-byte chunks one record spans
+// several -- so each range must decode exactly the records that start
+// in it, finishing its last one from the next range's head bytes.
+TEST(ChunkReader, RangesDecodeEveryRecordOnce) {
+  class Counter : public EventConsumer {
+  public:
+    void onSite(SiteId, std::span<const SiteFrame>) override { ++N; }
+    void onEvent(const EventRecord &) override { ++N; }
+    std::uint64_t N = 0;
+  };
+  ir::Program P = buildChurnProgram();
+  std::string Path = tempPath("ranges.jdev");
+  for (WireFormat F : {WireFormat::V2, WireFormat::V3})
+    for (std::size_t ChunkBytes : {512u, 8u}) {
+      recordRun(P, Path, ChunkBytes, F);
+      Counter Whole;
+      ASSERT_TRUE(replayFile(Path, Whole));
+      ChunkReader R;
+      ChunkIndex Idx;
+      ASSERT_EQ(R.open(Path), HeaderStatus::Ok);
+      ASSERT_TRUE(R.index(Idx));
+      EXPECT_EQ(Idx.TotalRecords, Whole.N);
+      bool Spanning = false;
+      for (const ChunkIndexEntry &E : Idx.Entries)
+        Spanning |= E.RecordCount == 0;
+      EXPECT_EQ(Spanning, ChunkBytes == 8u);
+      std::vector<Counter> Parts(3);
+      std::vector<std::string> Errs(3);
+      EXPECT_EQ(forEachShard(Idx, 3,
+                             [&](unsigned K, std::size_t B, std::size_t E) {
+                               decodeChunkRange(R, Idx, B, E, Parts[K],
+                                                Errs[K]);
+                             }),
+                3u);
+      std::uint64_t Sum = 0;
+      for (unsigned K = 0; K != 3; ++K) {
+        EXPECT_EQ(Errs[K], "") << K;
+        Sum += Parts[K].N;
+      }
+      EXPECT_EQ(Sum, Whole.N);
+    }
   std::remove(Path.c_str());
 }
 

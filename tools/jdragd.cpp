@@ -111,7 +111,11 @@ int cmdTop(const std::vector<std::string> &Args) {
   for (std::size_t I = 0; I != Args.size(); ++I) {
     if (Args[I] == "--top" && I + 1 < Args.size())
       N = std::strtoul(Args[++I].c_str(), nullptr, 10);
-    else if (Bench.empty())
+    else if (Args[I].rfind("--", 0) == 0) {
+      std::fprintf(stderr, "jdragd: unknown top option '%s'\n",
+                   Args[I].c_str());
+      return usage();
+    } else if (Bench.empty())
       Bench = Args[I];
     else if (Path.empty())
       Path = Args[I];

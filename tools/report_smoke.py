@@ -9,12 +9,18 @@ per wire fixture -- v4 (`--compress=off`) and v6 (default, compressed):
 
   1. record the .jdev fixture;
   2. for each of report / timeline / lagdragvoid: run the streaming
-     pass, the `--materialize` oracle, and the sharded (`--jobs 4`)
-     streaming pass, and require all three stdouts byte-identical;
-  3. export: streaming CSV vs `--materialize` CSV, byte-identical files
-     AND byte-identical stdout;
-  4. cross-fixture: the v4 and v6 recordings describe the same run, so
+     pass and the sharded (`--jobs 4`) streaming pass, and require both
+     stdouts byte-identical;
+  3. report: the streamed report must also equal the one rendered from
+     the materialized object log (`jdrag replay --out LOG`, then
+     `jdrag report <bench> LOG`), and the replay's own report;
+  4. export: the streamed CSV file, compared across fixtures below;
+  5. cross-fixture: the v4 and v6 recordings describe the same run, so
      every report of one must equal the same report of the other.
+
+The curves, lifetimes and CSV are checked against the materialized
+reference functions by the golden digests in
+tests/data/golden/reports.txt (ReportGolden.*).
 
 Exit status 0 = every diff came back empty; the first failing step
 prints both sides' context and exits 1. No temp files outside
@@ -61,28 +67,23 @@ def main():
 
         for cmd in ("report", "timeline", "lagdragvoid"):
             streamed = run([jdrag, cmd, bench, jdev])
-            oracle = run([jdrag, cmd, bench, jdev, "--materialize"])
             sharded = run([jdrag, cmd, bench, jdev, "--jobs", "4"])
-            expect_same(f"{fixture} {cmd}: streaming vs --materialize",
-                        streamed, oracle)
             expect_same(f"{fixture} {cmd}: streaming vs --jobs 4",
                         streamed, sharded)
             outputs[(fixture, cmd)] = streamed
 
+        log = os.path.join(work, f"{bench}_{fixture}.jdlog")
+        replayed = run([jdrag, "replay", bench, jdev, "--out", log])
+        from_log = run([jdrag, "report", bench, log])
+        expect_same(f"{fixture} report: streaming vs replay",
+                    outputs[(fixture, "report")], replayed)
+        expect_same(f"{fixture} report: streaming vs the replayed .jdlog",
+                    outputs[(fixture, "report")], from_log)
+
         csv_s = os.path.join(work, f"{bench}_{fixture}_stream.csv")
-        csv_m = os.path.join(work, f"{bench}_{fixture}_mat.csv")
-        out_s = run([jdrag, "export", bench, csv_s, jdev])
-        out_m = run([jdrag, "export", bench, csv_m, jdev, "--materialize"])
-        # stdout differs only by the path it echoes; normalize that.
-        expect_same(f"{fixture} export: stdout",
-                    out_s.replace(csv_s.encode(), b"CSV"),
-                    out_m.replace(csv_m.encode(), b"CSV"))
+        run([jdrag, "export", bench, csv_s, jdev])
         with open(csv_s, "rb") as f:
-            rows_s = f.read()
-        with open(csv_m, "rb") as f:
-            rows_m = f.read()
-        expect_same(f"{fixture} export: CSV bytes", rows_s, rows_m)
-        outputs[(fixture, "export")] = rows_s
+            outputs[(fixture, "export")] = f.read()
 
     # The two fixtures are recordings of the same deterministic run, so
     # every analysis must agree across them too.
